@@ -12,7 +12,6 @@ import csv
 import io
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Sequence
 
@@ -133,18 +132,13 @@ def _topology_options(fn):
               help="Weight of the CPU cost term against the bandwidth term.")
 @click.option("--out", type=click.Path(), default=".", show_default=True,
               help="Directory for result files.")
-@click.option("--threads", type=int, default=1, show_default=True,
-              help="Worker threads for independent load points and seeds.")
 @click.pass_context
-def cli(ctx: click.Context, seed: int, delta: float, alpha: float, out: str, threads: int) -> None:
+def cli(ctx: click.Context, seed: int, delta: float, alpha: float, out: str) -> None:
     """Embed security service chains and run workload experiments."""
-    if threads < 1:
-        raise click.UsageError("--threads must be >= 1")
     ctx.obj = {
         "seed": seed,
         "params": CostParams(alpha=alpha, delta=delta),
         "out": Path(out),
-        "threads": threads,
     }
 
 
@@ -247,14 +241,10 @@ def simulate(obj: dict, topology: str, topology_file: str | None, nodes: int | N
     load_values = _parse_loads(loads)
     seed_values = _parse_seeds(seeds, obj["seed"])
     points = [(load, seed) for load in load_values for seed in seed_values]
-
-    def one(point):
-        load, seed = point
+    results = []
+    for load, seed in points:
         cfg = WorkloadConfig(load_erlang=load, n_requests=requests, warmup=warmup)
-        return run_simulation(net, cfg, solver, seed, obj["params"])
-
-    with ThreadPoolExecutor(max_workers=obj["threads"]) as pool:
-        results = list(pool.map(one, points))
+        results.append(run_simulation(net, cfg, solver, seed, obj["params"]))
 
     rows = [_metrics_row(metrics, seed) for metrics, (_, seed) in zip(results, points)]
     out = obj["out"]
@@ -289,14 +279,10 @@ def compare(obj: dict, topology: str, topology_file: str | None, nodes: int | No
     load_values = _parse_loads(loads)
     seed_values = _parse_seeds(seeds, obj["seed"])
     points = [(load, seed) for load in load_values for seed in seed_values]
-
-    def one(point):
-        load, seed = point
+    reports = []
+    for load, seed in points:
         cfg = WorkloadConfig(load_erlang=load, n_requests=requests, warmup=warmup)
-        return run_twin_comparison(net, cfg, seed, obj["params"])
-
-    with ThreadPoolExecutor(max_workers=obj["threads"]) as pool:
-        reports = list(pool.map(one, points))
+        reports.append(run_twin_comparison(net, cfg, seed, obj["params"]))
 
     rows = []
     for report, (_, seed) in zip(reports, points):

@@ -193,14 +193,6 @@ def place_on_path(
     return CandidateSolution(path, emb, cost, tuple(latencies)), None
 
 
-def register_operational(
-    state: NetworkState, emb: Embedding, req: ServiceRequest, params: CostParams
-) -> int:
-    """Commit an accepted embedding: debit resources, record its chains,
-    refresh the per-node guard chains."""
-    return state.register(emb, req, params)
-
-
 def pess_embed(
     state: NetworkState,
     req: ServiceRequest,
@@ -286,7 +278,7 @@ def pess_embed(
         if recheck_operational(state, candidate.embedding, req, params).ok:
             service_id = None
             if register:
-                service_id = register_operational(state, candidate.embedding, req, params)
+                service_id = state.register(candidate.embedding, req, params)
             return EmbedOutcome(
                 embedding=candidate.embedding,
                 cost=candidate.cost,

@@ -5,7 +5,8 @@ time), hold exponentially distributed amounts of time, and release their
 resources on departure. Statistics are collected only after a configurable
 number of warmup arrivals. Twin comparison runs feed the exact same
 pre-generated request stream to two solver configurations so differences in
-the metrics come from the embedding strategy alone.
+the metrics come from the embedding strategy alone. Every run drives its
+state through ``replay``, the one arrival/departure loop.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ import math
 import random
 import time
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .heuristic import pess_embed
+from .heuristic import EmbedOutcome, pess_embed
 from .oracle import OracleBudgetExceeded, OracleConfig, exact_embed
 from .service import (
     RequestGenConfig,
@@ -174,28 +175,56 @@ class _WindowedStats:
         return self.integrals.get(key, 0.0) / self.duration
 
 
+def replay(
+    state: NetworkState,
+    stream: Iterable[Arrival],
+    solve: Callable[[int, Arrival], EmbedOutcome],
+    before: Callable[[float], None] | None = None,
+) -> Iterator[tuple[int, Arrival, EmbedOutcome]]:
+    """Drive ``state`` through an arrival stream with timed departures.
+
+    Services due to depart by an arrival's time are released first, earliest
+    first; then ``solve(idx, arrival)`` handles the arrival, and an accepted
+    service is queued to depart after its holding time. ``before(t)`` runs
+    ahead of every departure and arrival, at that event's time. Yields
+    ``(idx, arrival, outcome)`` once per arrival.
+    """
+    departures: list[tuple[float, int, int]] = []
+    for idx, arrival in enumerate(stream):
+        while departures and departures[0][0] <= arrival.t:
+            t_dep, _, service_id = heapq.heappop(departures)
+            if before is not None:
+                before(t_dep)
+            state.release(service_id)
+        if before is not None:
+            before(arrival.t)
+        outcome = solve(idx, arrival)
+        if outcome.accepted:
+            heapq.heappush(departures, (arrival.t + arrival.holding, idx, outcome.service_id))
+        yield idx, arrival, outcome
+
+
 def _run(
     net: PhysicalNetwork,
     cfg: WorkloadConfig,
     solver: str,
     stream: Sequence[Arrival],
     params: CostParams,
-    scan_descending: bool = False,
-) -> tuple[Metrics, NetworkState]:
+    checksum: str,
+) -> Metrics:
     if solver not in (SOLVER_PESS, SOLVER_BASELINE):
         raise ValueError(f"unknown solver '{solver}'")
     state = NetworkState.fresh(net)
-    departures: list[tuple[float, int, int]] = []
     region_nodes = {name: sorted(members) for name, members in net.regions.items()}
 
     stats_start = stream[cfg.warmup].t if cfg.warmup < len(stream) else math.inf
     window = _WindowedStats(stats_start)
-    offered = accepted = rejected = 0
+    accepted = rejected = 0
     latency_sum = 0.0
     latency_count = 0
     embed_times: list[float] = []
 
-    def snapshot() -> dict[str, float]:
+    def snapshot(now: float) -> None:
         values = {
             "cpu": 1.0 - sum(state.residual_gamma) / net.total_cpu,
             "active": float(len(state.services)),
@@ -204,39 +233,32 @@ def _run(
             nominal = sum(net.nodes[i].gamma_nominal for i in members)
             residual = sum(state.residual_gamma[i] for i in members)
             values[f"cpu:{name}"] = 1.0 - residual / nominal
-        return values
+        window.advance(now, values)
 
-    seq = 0
-    for idx, arrival in enumerate(stream):
-        while departures and departures[0][0] <= arrival.t:
-            t_dep, _, service_id = heapq.heappop(departures)
-            window.advance(t_dep, snapshot())
-            state.release(service_id)
-        window.advance(arrival.t, snapshot())
-
+    def solve(idx: int, arrival: Arrival) -> EmbedOutcome:
         request = arrival.request
         if solver == SOLVER_BASELINE:
             request = baseline_request(request)
-        counted = idx >= cfg.warmup
         started = time.perf_counter()
-        outcome = pess_embed(state, request, params, scan_descending=scan_descending)
-        elapsed = time.perf_counter() - started
-        if counted:
-            offered += 1
-            embed_times.append(elapsed)
+        outcome = pess_embed(state, request, params)
+        if idx >= cfg.warmup:
+            embed_times.append(time.perf_counter() - started)
+        return outcome
+
+    for idx, _, outcome in replay(state, stream, solve, snapshot):
+        if idx < cfg.warmup:
+            continue
         if outcome.accepted:
-            seq += 1
-            heapq.heappush(departures, (arrival.t + arrival.holding, seq, outcome.service_id))
-            if counted:
-                accepted += 1
-                for latency in outcome.chain_latencies:
-                    latency_sum += latency
-                    latency_count += 1
-        elif counted:
+            accepted += 1
+            for latency in outcome.chain_latencies:
+                latency_sum += latency
+                latency_count += 1
+        else:
             rejected += 1
 
+    offered = accepted + rejected
     by_region = {name: window.mean(f"cpu:{name}") for name in region_nodes}
-    metrics = Metrics(
+    return Metrics(
         load=cfg.load_erlang,
         solver=solver,
         offered=offered,
@@ -249,9 +271,8 @@ def _run(
         mean_chain_latency=(latency_sum / latency_count) if latency_count else None,
         delay_ratio_vs=None,
         embed_time=EmbedTimeStats.from_samples(embed_times),
-        stream_checksum=stream_checksum(stream),
+        stream_checksum=checksum,
     )
-    return metrics, state
 
 
 def run_simulation(
@@ -263,31 +284,11 @@ def run_simulation(
     *,
     stream: Sequence[Arrival] | None = None,
     catalog: VsnfCatalog | None = None,
-    scan_descending: bool = False,
 ) -> Metrics:
     """Simulate one (load, solver) point and return its metrics row."""
-    metrics, _ = run_simulation_detailed(
-        net, cfg, solver, seed, params,
-        stream=stream, catalog=catalog, scan_descending=scan_descending,
-    )
-    return metrics
-
-
-def run_simulation_detailed(
-    net: PhysicalNetwork,
-    cfg: WorkloadConfig,
-    solver: str = SOLVER_PESS,
-    seed: int = 0,
-    params: CostParams = CostParams(),
-    *,
-    stream: Sequence[Arrival] | None = None,
-    catalog: VsnfCatalog | None = None,
-    scan_descending: bool = False,
-) -> tuple[Metrics, NetworkState]:
-    """Like run_simulation but also hands back the final network state."""
     if stream is None:
         stream = generate_stream(net, cfg, seed, catalog)
-    return _run(net, cfg, solver, stream, params, scan_descending)
+    return _run(net, cfg, solver, stream, params, stream_checksum(stream))
 
 
 @dataclass(frozen=True)
@@ -307,8 +308,9 @@ def run_twin_comparison(
 ) -> TwinReport:
     """Run PESS and the aggregate-chain baseline on one shared stream."""
     stream = generate_stream(net, cfg, seed, catalog)
-    pess_metrics, _ = _run(net, cfg, SOLVER_PESS, stream, params)
-    base_metrics, _ = _run(net, cfg, SOLVER_BASELINE, stream, params)
+    checksum = stream_checksum(stream)
+    pess_metrics = _run(net, cfg, SOLVER_PESS, stream, params, checksum)
+    base_metrics = _run(net, cfg, SOLVER_BASELINE, stream, params, checksum)
     ratio = None
     if pess_metrics.mean_chain_latency and base_metrics.mean_chain_latency is not None:
         ratio = base_metrics.mean_chain_latency / pess_metrics.mean_chain_latency
@@ -353,46 +355,41 @@ def run_heuristic_vs_oracle(
     if compare is None:
         compare = cfg.n_requests - cfg.warmup
     state = NetworkState.fresh(net)
-    departures: list[tuple[float, int, int]] = []
-    seq = 0
     compared = both = h_blocked = o_blocked = exceeded = 0
     overheads: list[float] = []
     h_times: list[float] = []
     o_times: list[float] = []
 
-    for idx, arrival in enumerate(stream):
-        while departures and departures[0][0] <= arrival.t:
-            _, _, service_id = heapq.heappop(departures)
-            state.release(service_id)
-        do_compare = idx >= cfg.warmup and compared < compare
-        oracle_outcome = None
-        if do_compare:
-            compared += 1
-            started = time.perf_counter()
-            try:
-                oracle_outcome = exact_embed(state, arrival.request, oracle_cfg, params)
-            except OracleBudgetExceeded:
-                exceeded += 1
-                oracle_outcome = None
-            o_times.append(time.perf_counter() - started)
+    def solve(idx: int, arrival: Arrival) -> EmbedOutcome:
+        nonlocal compared, both, h_blocked, o_blocked, exceeded
+        if idx < cfg.warmup or compared >= compare:
+            return pess_embed(state, arrival.request, params)
+        compared += 1
+        started = time.perf_counter()
+        try:
+            oracle_outcome = exact_embed(state, arrival.request, oracle_cfg, params)
+        except OracleBudgetExceeded:
+            exceeded += 1
+            oracle_outcome = None
+        o_times.append(time.perf_counter() - started)
         started = time.perf_counter()
         outcome = pess_embed(state, arrival.request, params)
-        if do_compare:
-            h_times.append(time.perf_counter() - started)
-        if outcome.accepted:
-            seq += 1
-            heapq.heappush(departures, (arrival.t + arrival.holding, seq, outcome.service_id))
-        if do_compare and oracle_outcome is not None:
-            if outcome.accepted and oracle_outcome.optimal:
-                both += 1
-                if oracle_outcome.score == 0.0:
-                    overheads.append(0.0 if outcome.cost == 0.0 else math.inf)
-                else:
-                    overheads.append((outcome.cost - oracle_outcome.score) / oracle_outcome.score)
-            elif oracle_outcome.optimal:
-                h_blocked += 1
-            elif outcome.accepted:
-                o_blocked += 1
+        h_times.append(time.perf_counter() - started)
+        if oracle_outcome is None:
+            return outcome
+        if outcome.accepted and oracle_outcome.optimal:
+            both += 1
+            if oracle_outcome.score == 0.0:
+                overheads.append(0.0 if outcome.cost == 0.0 else math.inf)
+            else:
+                overheads.append((outcome.cost - oracle_outcome.score) / oracle_outcome.score)
+        elif oracle_outcome.optimal:
+            h_blocked += 1
+        elif outcome.accepted:
+            o_blocked += 1
+        return outcome
+
+    for idx, _, _ in replay(state, stream, solve):
         if idx >= cfg.warmup and compared >= compare:
             break
 

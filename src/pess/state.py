@@ -283,19 +283,6 @@ class NetworkState:
     def fresh(cls, net: PhysicalNetwork) -> "NetworkState":
         return cls(net)
 
-    def clone(self) -> "NetworkState":
-        twin = object.__new__(NetworkState)
-        twin.net = self.net
-        twin.residual_gamma = list(self.residual_gamma)
-        twin.residual_beta = list(self.residual_beta)
-        twin.operational = dict(self.operational)
-        twin.node_chains = [set(s) for s in self.node_chains]
-        twin.node_guard = list(self.node_guard)
-        twin.services = dict(self.services)
-        twin._next_chain_id = self._next_chain_id
-        twin._next_service_id = self._next_service_id
-        return twin
-
     # -- resource accounting ------------------------------------------------
 
     def _debit(self, emb: Embedding, req: ServiceRequest) -> None:
@@ -366,16 +353,20 @@ class NetworkState:
             chain_ids = self.services.pop(service_id)
         except KeyError:
             raise KeyError(f"no active service {service_id}") from None
-        touched: set[NodeId] = set()
+        # Removing a chain that is not a node's guard leaves that node's
+        # (threshold, -chain_id) maximum in place, so only nodes whose guard
+        # departs need a rescan.
+        orphaned: set[NodeId] = set()
         for chain_id in chain_ids:
             record = self.operational.pop(chain_id)
             for node, demand in record.cpu_by_node.items():
                 self.residual_gamma[node] += demand
                 self.node_chains[node].discard(chain_id)
-                touched.add(node)
+                if self.node_guard[node] == chain_id:
+                    orphaned.add(node)
             for arc in record.arcs:
                 self.residual_beta[arc] += record.chain.beta_req
-        for node in touched:
+        for node in orphaned:
             self.node_guard[node] = self._guard_of(node)
 
     def _guard_of(self, node: NodeId) -> int | None:
@@ -408,16 +399,6 @@ class NetworkState:
         for node in range(twin.net.n_nodes):
             twin.node_guard[node] = twin._guard_of(node)
         return twin
-
-
-def residual_after(
-    state: NetworkState, emb: Embedding, req: ServiceRequest
-) -> NetworkState:
-    """Functional variant of the debit: returns a new state, leaves the
-    operational ledger untouched."""
-    twin = state.clone()
-    twin._debit(emb, req)
-    return twin
 
 
 # -- acceptance checks -------------------------------------------------------

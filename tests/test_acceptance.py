@@ -5,7 +5,6 @@ constraint safety, bookkeeping integrity, workload trends, scalability, the
 formula regression vector and the alternative oracle objectives.
 """
 
-import heapq
 import random
 import time
 
@@ -18,7 +17,13 @@ from pess.oracle import (
     exact_embed,
 )
 from pess.service import RequestGenConfig, builtin_catalog, generate_request
-from pess.simulator import WorkloadConfig, generate_stream, run_scalability, run_twin_comparison
+from pess.simulator import (
+    WorkloadConfig,
+    generate_stream,
+    replay,
+    run_scalability,
+    run_twin_comparison,
+)
 from pess.state import (
     CostParams,
     NetworkState,
@@ -144,24 +149,20 @@ def test_criterion_3_bookkeeping_identity():
             assert state.node_guard[node] == brute_force_guard(node)
 
     events = 0
-    departures = []
-    seq = 0
-    for arrival in stream:
-        while departures and departures[0][0] <= arrival.t:
-            _, _, sid = heapq.heappop(departures)
-            state.release(sid)
-            events += 1
-            if events % 500 == 0:
-                audit()
-        outcome = pess_embed(state, arrival.request, PARAMS)
+
+    def count_and_audit(_):
+        # Runs ahead of every arrival and departure.
+        nonlocal events
         events += 1
-        if outcome.accepted:
-            seq += 1
-            heapq.heappush(departures, (arrival.t + arrival.holding, seq, outcome.service_id))
         if events % 500 == 0:
             audit()
-    while departures:
-        _, _, sid = heapq.heappop(departures)
+
+    def solve(_, arrival):
+        return pess_embed(state, arrival.request, PARAMS)
+
+    for _ in replay(state, stream, solve, count_and_audit):
+        pass
+    for sid in list(state.services):
         state.release(sid)
         events += 1
     audit()

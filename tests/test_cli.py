@@ -1,9 +1,13 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 import yaml
 
 from pess.cli import main
+from pess.service import request_from_doc
+from pess.topology import load_topology
 
 
 @pytest.fixture
@@ -152,9 +156,9 @@ class TestErrors:
 
 
 class TestSimulate:
-    def simulate(self, capsys, out_dir, threads="1"):
+    def simulate(self, capsys, out_dir):
         return run(
-            capsys, "--seed", "1", "--out", str(out_dir), "--threads", threads,
+            capsys, "--seed", "1", "--out", str(out_dir),
             "simulate", "--topology", "ba", "--nodes", "10",
             "--loads", "5,10", "--seeds", "1,2",
             "--requests", "200", "--warmup", "50",
@@ -185,12 +189,6 @@ class TestSimulate:
         self.simulate(capsys, second)
         assert (first / "metrics.csv").read_bytes() == (second / "metrics.csv").read_bytes()
         assert (first / "summary.json").read_bytes() == (second / "summary.json").read_bytes()
-
-    def test_threads_do_not_change_output(self, capsys, tmp_path):
-        serial, parallel = tmp_path / "s", tmp_path / "p"
-        self.simulate(capsys, serial, threads="1")
-        self.simulate(capsys, parallel, threads="4")
-        assert (serial / "metrics.csv").read_bytes() == (parallel / "metrics.csv").read_bytes()
 
 
 class TestCompare:
@@ -282,3 +280,17 @@ class TestScalability:
         ]
         assert len(lines) == 4
         assert "wrote" in out
+
+
+def test_readme_yaml_examples_load():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    docs = [yaml.safe_load(block) for block in re.findall(r"```yaml\n(.*?)```", readme, re.S)]
+    topologies = [doc for doc in docs if "nodes" in doc]
+    requests = [doc for doc in docs if "chains" in doc]
+    assert topologies and requests
+    assert len(topologies) + len(requests) == len(docs)
+    for doc in topologies:
+        net = load_topology(doc)
+        assert net.n_links == len(doc["links"])
+    for doc in requests:
+        assert len(request_from_doc(doc).chains) == len(doc["chains"])

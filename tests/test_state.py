@@ -21,7 +21,6 @@ from pess.state import (
     gamma_threshold,
     processing_delay,
     recheck_operational,
-    residual_after,
     validate_embedding,
     validate_request_nodes,
 )
@@ -452,16 +451,6 @@ class TestValidateEmbedding:
         req = request(0, [1], chain(vsnf(gamma=9.5), beta=10**6, lam=0.4))
         emb = single(0, 1, [1], [[0, 1], [1]])
         assert any("capacity" in v for v in validate_embedding(state, emb, req, PARAMS))
-
-    def test_residual_after_leaves_ledger(self):
-        net = path_net([10**10] * 2)
-        state = NetworkState.fresh(net)
-        req = request(0, [1], chain(beta=1000))
-        emb = single(0, 1, [], [[0, 1]])
-        twin = residual_after(state, emb, req)
-        assert twin.residual_beta[net.arc(0, 1)] == 10**10 - 1000
-        assert state.residual_beta[net.arc(0, 1)] == 10**10
-        assert not twin.operational
 
 
 class TestValidateRequestNodes:
