@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -11,13 +12,15 @@ from pess.heuristic import (
 )
 from pess.service import (
     DOWN,
+    UP,
     RequestGenConfig,
     ServiceError,
     builtin_catalog,
     generate_request,
 )
+from pess.simulator import WorkloadConfig, generate_stream, replay
 from pess.state import CostParams, NetworkState, validate_embedding
-from pess.topology import generate_barabasi_albert
+from pess.topology import PhysicalNetwork, generate_barabasi_albert
 
 PARAMS = CostParams()
 
@@ -303,3 +306,74 @@ class TestPessEmbed:
         state.release(first.service_id)
         third = pess_embed(state, req, PARAMS)
         assert third.accepted
+
+
+# SHA-256 over every outcome of test_decisions_pinned. A change to the
+# heuristic's decisions, costs, latencies or reasons changes it.
+DECISION_DIGEST = "856584ecd0188e8bb59e7ab0b8b3f4d5c1ceef46199e65f0aa7ced4353512df3"
+
+
+def _record(digest, out):
+    emb = out.embedding.to_dict() if out.accepted else None
+    digest.update(repr((emb, repr(out.cost), out.chain_latencies, out.reason)).encode())
+
+
+def _odd_requests(net, rng, count):
+    """Requests the generator never draws: VSNFs pinned to ep1 or to the
+    ``dmz`` region (in an up chain, an ep1 pin after a hotspot VSNF, so its
+    segments zigzag), vetoed nodes and several remote endpoints."""
+    ids = vsnf("snort", 9.5, stateful=True)
+    vpn_ep1 = vsnf("openvpn", 31.0, region="ep1")
+    fw_dmz = vsnf("vsrx-fw", 2.3, region="dmz")
+    dmz = sorted(net.regions["dmz"])
+    for _ in range(count):
+        ep1 = rng.randrange(net.n_nodes)
+        ep2 = rng.sample(range(net.n_nodes), rng.randint(1, 3)) + rng.sample(dmz, rng.randint(0, 2))
+        veto = rng.sample(range(net.n_nodes), rng.randint(0, 30))
+        beta = rng.choice((10**6, 2 * 10**7, 10**8))
+        lam = rng.choice((1.2e-3, 2e-3, 0.1))
+        shapes = [
+            (chain(ids, vpn_ep1, beta=beta, lam=lam),
+             chain(ids, direction=DOWN, beta=beta, lam=lam)),
+            (chain(fw_dmz, ids, beta=beta, lam=lam),
+             chain(vpn_ep1, ids, direction=DOWN, beta=beta, lam=lam)),
+            (chain(vpn_ep1, ids, fw_dmz, direction=rng.choice((UP, DOWN)), beta=beta, lam=lam),),
+        ]
+        chains = rng.choice(shapes)
+        groups = [[(c, p) for c, ch in enumerate(chains) for p, spec in enumerate(ch.vsnfs)
+                   if spec is ids]]
+        yield request(ep1, ep2, *chains, groups=[g for g in groups if len(g) > 1], veto=veto)
+
+
+def test_decisions_pinned():
+    """Every pess_embed outcome of a seeded churn on a loaded BA(200,2)
+    and of odd requests on the state it leaves, under all scan options."""
+    base = generate_barabasi_albert(200, 2, seed=4)
+    net = PhysicalNetwork(base.nodes, base.links,
+                          {"border": range(6), "dmz": range(6, 40, 3)})
+    gen = RequestGenConfig(latency_menu=(1.5e-3, 2e-3, 0.1, 0.4), border_bias=0.5,
+                           external_latency=0.0)
+    stream = generate_stream(net, WorkloadConfig(1000, 1000, 0, request_cfg=gen), 7)
+    state = NetworkState.fresh(net)
+    digest = hashlib.sha256()
+    seen = {}
+
+    def solve(idx, arrival):
+        if idx % 4 == 0:
+            for flags in ({"scan_descending": True}, {"expand_all_ep2": True}):
+                _record(digest, pess_embed(state, arrival.request, PARAMS,
+                                           register=False, **flags))
+        return pess_embed(state, arrival.request, PARAMS)
+
+    for _, _, out in replay(state, stream, solve):
+        _record(digest, out)
+        seen[out.reason] = seen.get(out.reason, 0) + 1
+    for req in _odd_requests(net, random.Random(11), 150):
+        for descending in (False, True):
+            for expand_all in (False, True):
+                out = pess_embed(state, req, PARAMS, register=False,
+                                 scan_descending=descending, expand_all_ep2=expand_all)
+                _record(digest, out)
+                seen[out.reason] = seen.get(out.reason, 0) + 1
+    assert seen[None] > 500 and seen[REASON_INFEASIBLE] > 100
+    assert digest.hexdigest() == DECISION_DIGEST
