@@ -52,9 +52,10 @@ METRICS_COLUMNS = [
 
 
 class _Rejected(Exception):
-    def __init__(self, reason: str) -> None:
+    def __init__(self, reason: str, violation: str | None = None) -> None:
         super().__init__(reason)
         self.reason = reason
+        self.violation = violation
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -168,7 +169,7 @@ def embed(obj: dict, topology: str, topology_file: str | None, nodes: int | None
         expand_all_ep2=expand_all_ep2,
     )
     if not outcome.accepted:
-        raise _Rejected(outcome.reason)
+        raise _Rejected(outcome.reason, outcome.violation)
     click.echo(f"cost: {outcome.cost:.6g}")
     for idx, latency in enumerate(outcome.chain_latencies):
         click.echo(f"chain {idx} latency: {latency:.6g} s")
@@ -419,7 +420,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         cli.main(args=argv, standalone_mode=False)
     except _Rejected as exc:
-        click.echo(json.dumps({"status": "rejected", "reason": exc.reason}))
+        payload = {"status": "rejected", "reason": exc.reason}
+        if exc.violation is not None:
+            payload["violation"] = exc.violation
+        click.echo(json.dumps(payload))
         return 2
     except click.exceptions.Exit as exc:
         return exc.exit_code

@@ -1,12 +1,14 @@
 """Online embedding heuristic.
 
-One request is served with at most three shortest-path computations: a
-residual-bandwidth-weighted Dijkstra from the user endpoint toward the
-candidate remote endpoints, then (after a first placement round on those
-paths) one tree from each side toward under-used detour nodes whose residual
-CPU strictly beats everything the initial paths touched. Candidate solutions
-are scanned in cost order and the first one that does not break any running
-chain wins.
+One request grows a residual-bandwidth-weighted Dijkstra tree from the user
+endpoint until the candidate remote endpoints are settled; their tree paths
+are the initial candidates. A detour round follows when some node beyond
+those paths has residual CPU that strictly beats everything they touch: the
+user-side tree is grown on toward those nodes, and one tree is grown from
+the detour anchor (the remote end of the best feasible initial path, or
+every reachable remote endpoint) toward them. Every candidate path is ranked
+by its cost alone; full embeddings are built and checked lazily in scan
+order, and the first one that does not break any running chain wins.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import heapq
 import math
 from dataclasses import dataclass
 
-from .service import DOWN, UP, ServiceRequest
+from .service import UP, ServiceRequest
 from .state import (
     ChainEmbedding,
     CostParams,
@@ -23,7 +25,6 @@ from .state import (
     NetworkState,
     chain_latency,
     cpu_demand,
-    embedding_cost,
     recheck_operational,
     validate_request_nodes,
 )
@@ -32,16 +33,26 @@ from .topology import NodeId, PhysicalNetwork
 REASON_NO_ROUTE = "no-route"
 REASON_INFEASIBLE = "infeasible"
 
+# VSNF hosts per chain, and the cost of the candidate they make.
+Placement = tuple[tuple[tuple[NodeId, ...], ...], float]
+
 
 @dataclass(frozen=True)
 class EmbedOutcome:
-    """Result of one embedding attempt; ``embedding is None`` means rejected."""
+    """Result of one embedding attempt; ``embedding is None`` means rejected.
+
+    An ``infeasible`` rejection names in ``violation`` what stopped the first
+    candidate in scan order: its ``place_on_path`` code, or ``op-latency``
+    when only the operational recheck failed it. When no path can place the
+    VSNFs at all, it is the first path's ``region`` or ``veto``.
+    """
 
     embedding: Embedding | None
     cost: float | None = None
     chain_latencies: tuple[float, ...] = ()
     service_id: int | None = None
     reason: str | None = None
+    violation: str | None = None
 
     @property
     def accepted(self) -> bool:
@@ -55,91 +66,102 @@ class CandidateSolution:
     cost: float
     chain_latencies: tuple[float, ...]
 
-    def sort_key(self) -> tuple:
-        return (self.cost, len(self.path), self.path)
 
-
-def _dijkstra(
-    net: PhysicalNetwork,
-    residual_beta: list[int],
-    source: NodeId,
-    targets: frozenset[NodeId] | set[NodeId],
-    beta_bar: int,
-    delta: float,
-) -> tuple[list[float], list[int]]:
-    """Cheapest-residual-bandwidth tree from ``source``.
+class _Tree:
+    """Cheapest-residual-bandwidth search tree from ``source``, grown on demand.
 
     Arcs whose residual cannot carry the request's total bandwidth are never
-    relaxed; the search stops once every target is settled. Returns distance
-    and parent arrays (parent -1 where unreached).
+    relaxed. Settled distances and parents are final, so growing the tree
+    toward more targets reads the same values a fresh search would.
     """
-    dist = [math.inf] * net.n_nodes
-    parent = [-1] * net.n_nodes
-    done = [False] * net.n_nodes
-    dist[source] = 0.0
-    heap: list[tuple[float, NodeId]] = [(0.0, source)]
-    remaining = set(targets)
-    while heap:
-        d, here = heapq.heappop(heap)
-        if done[here]:
-            continue
-        done[here] = True
-        remaining.discard(here)
-        if not remaining:
-            break
-        for neighbor, arc in net.adjacency[here]:
-            if done[neighbor]:
+
+    def __init__(
+        self,
+        net: PhysicalNetwork,
+        residual_beta: list[int],
+        source: NodeId,
+        beta_bar: int,
+        delta: float,
+    ) -> None:
+        self.net = net
+        self.residual_beta = residual_beta
+        self.source = source
+        self.beta_bar = beta_bar
+        self.delta = delta
+        self.dist = [math.inf] * net.n_nodes
+        self.parent = [-1] * net.n_nodes
+        self.parent_arc = [-1] * net.n_nodes
+        self.done = [False] * net.n_nodes
+        self.dist[source] = 0.0
+        self.heap: list[tuple[float, NodeId]] = [(0.0, source)]
+
+    def grow(self, targets) -> None:
+        """Settle nodes until every target is settled or none is left reachable."""
+        dist, parent, parent_arc, done = self.dist, self.parent, self.parent_arc, self.done
+        residual_beta, beta_bar, delta = self.residual_beta, self.beta_bar, self.delta
+        adjacency, heap = self.net.adjacency, self.heap
+        remaining = {t for t in targets if not done[t]}
+        while remaining and heap:
+            d, here = heapq.heappop(heap)
+            if done[here]:
                 continue
-            residual = residual_beta[arc]
-            if residual < beta_bar:
-                continue
-            candidate = d + beta_bar / (residual + delta)
-            if candidate < dist[neighbor]:
-                dist[neighbor] = candidate
-                parent[neighbor] = here
-                heapq.heappush(heap, (candidate, neighbor))
-    return dist, parent
+            done[here] = True
+            remaining.discard(here)
+            for neighbor, arc in adjacency[here]:
+                if done[neighbor]:
+                    continue
+                residual = residual_beta[arc]
+                if residual < beta_bar:
+                    continue
+                candidate = d + beta_bar / (residual + delta)
+                if candidate < dist[neighbor]:
+                    dist[neighbor] = candidate
+                    parent[neighbor] = here
+                    parent_arc[neighbor] = arc
+                    heapq.heappush(heap, (candidate, neighbor))
+
+    def path_to(self, target: NodeId) -> tuple[tuple[NodeId, ...], list[int]]:
+        """Tree path from the source to a settled ``target``, and its arcs."""
+        nodes = [target]
+        arcs = []
+        while nodes[-1] != self.source:
+            arcs.append(self.parent_arc[nodes[-1]])
+            nodes.append(self.parent[nodes[-1]])
+        nodes.reverse()
+        arcs.reverse()
+        return tuple(nodes), arcs
 
 
-def _walk_back(parent: list[int], source: NodeId, target: NodeId) -> tuple[NodeId, ...]:
-    path = [target]
-    while path[-1] != source:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return tuple(path)
-
-
-def place_on_path(
+def price_path(
     state: NetworkState,
     path: tuple[NodeId, ...],
+    arcs: list[int],
     req: ServiceRequest,
     params: CostParams,
-) -> tuple[CandidateSolution | None, str | None]:
-    """Embed every chain of ``req`` along one physical path.
+) -> tuple[Placement | None, str | None]:
+    """Cheap half of ``place_on_path``: where the VSNFs go and what it costs.
 
-    Region-bound VSNFs go to the matching path end; everything else is
-    co-located on the non-vetoed path node with the largest residual CPU
-    (ties to the lowest id). Returns the candidate with its cost, or
-    ``(None, violation_code)``.
+    ``arcs[i]`` is the arc from ``path[i]`` to ``path[i + 1]``. Region-bound
+    VSNFs go to the matching path end; everything else is co-located on the
+    non-vetoed path node with the largest residual CPU (ties to the lowest
+    id). Returns the placement, or ``(None, "region" | "veto")``. The cost
+    sums the terms of ``embedding_cost`` in the same order, so it equals the
+    built embedding's cost bit for bit.
     """
     net = state.net
+    residual_gamma = state.residual_gamma
     ep1, ep2 = path[0], path[-1]
     position = {node: idx for idx, node in enumerate(path)}
-
-    eligible = [n for n in path if n not in req.veto]
     hotspot: NodeId | None = None
-    if eligible:
-        hotspot = max(eligible, key=lambda n: (state.residual_gamma[n], -n))
+    for node in path:
+        if node not in req.veto and (
+            hotspot is None
+            or residual_gamma[node] > residual_gamma[hotspot]
+            or (residual_gamma[node] == residual_gamma[hotspot] and node < hotspot)
+        ):
+            hotspot = node
 
-    total_cpu = sum(
-        cpu_demand(spec.gamma_u, chain.beta_req)
-        for chain in req.chains
-        for spec in chain.vsnfs
-    )
-    if eligible and total_cpu > sum(state.residual_gamma[n] for n in set(eligible)):
-        return None, "node-capacity"
-
-    chain_embeddings = []
+    hosts_by_chain = []
     for chain in req.chains:
         hosts = []
         for spec in chain.vsnfs:
@@ -159,6 +181,45 @@ def place_on_path(
             if host not in position:
                 return None, "region"
             hosts.append(host)
+        hosts_by_chain.append(tuple(hosts))
+
+    # Per chain: the arcs of each segment in route order (a segment that runs
+    # back along the path takes the reverse arcs), then the CPU terms.
+    residual_beta, delta, alpha = state.residual_beta, params.delta, params.alpha
+    cost = 0.0
+    for chain, hosts in zip(req.chains, hosts_by_chain):
+        beta = chain.beta_req
+        src, dst = (ep1, ep2) if chain.direction == UP else (ep2, ep1)
+        at = position[src]
+        for node in (*hosts, dst):
+            to = position[node]
+            if at <= to:
+                for arc in arcs[at:to]:
+                    cost += beta / (residual_beta[arc] + delta)
+            else:
+                for idx in range(at - 1, to - 1, -1):
+                    cost += beta / (residual_beta[arcs[idx] ^ 1] + delta)
+            at = to
+        for node, spec in zip(hosts, chain.vsnfs):
+            cost += alpha * cpu_demand(spec.gamma_u, beta) / (residual_gamma[node] + delta)
+    return (tuple(hosts_by_chain), cost), None
+
+
+def check_placement(
+    state: NetworkState,
+    path: tuple[NodeId, ...],
+    placement: Placement,
+    req: ServiceRequest,
+    params: CostParams,
+) -> tuple[CandidateSolution | None, str | None]:
+    """Costly half of ``place_on_path``: build the embedding of a priced
+    placement and run the stateful, capacity and latency checks."""
+    net = state.net
+    hosts_by_chain, cost = placement
+    ep1, ep2 = path[0], path[-1]
+    position = {node: idx for idx, node in enumerate(path)}
+    chain_embeddings = []
+    for chain, hosts in zip(req.chains, hosts_by_chain):
         src, dst = (ep1, ep2) if chain.direction == UP else (ep2, ep1)
         entity_hosts = [src, *hosts, dst]
         segments = []
@@ -169,7 +230,7 @@ def place_on_path(
             else:
                 segments.append(tuple(reversed(path[ib : ia + 1])))
         chain_embeddings.append(
-            ChainEmbedding(src=src, dst=dst, vsnf_nodes=tuple(hosts), segments=tuple(segments))
+            ChainEmbedding(src=src, dst=dst, vsnf_nodes=hosts, segments=tuple(segments))
         )
 
     emb = Embedding(tuple(chain_embeddings))
@@ -189,8 +250,26 @@ def place_on_path(
         if latency > chain.lambda_max:
             return None, "latency"
         latencies.append(latency)
-    cost = embedding_cost(state, emb, req, net, params)
     return CandidateSolution(path, emb, cost, tuple(latencies)), None
+
+
+def place_on_path(
+    state: NetworkState,
+    path: tuple[NodeId, ...],
+    req: ServiceRequest,
+    params: CostParams,
+) -> tuple[CandidateSolution | None, str | None]:
+    """Embed every chain of ``req`` along one physical path.
+
+    Places the VSNFs and prices the candidate (``price_path``), then builds
+    and checks it (``check_placement``). Returns the candidate with its cost,
+    or ``(None, violation_code)``.
+    """
+    arcs = [state.net.arc(a, b) for a, b in zip(path, path[1:])]
+    placement, code = price_path(state, path, arcs, req, params)
+    if placement is None:
+        return None, code
+    return check_placement(state, path, placement, req, params)
 
 
 def pess_embed(
@@ -206,32 +285,47 @@ def pess_embed(
 
     ``register=False`` evaluates without committing. ``scan_descending``
     flips the acceptance scan to try expensive candidates first (kept for
-    comparison runs). ``expand_all_ep2`` grows detour paths toward every
-    reachable remote endpoint instead of only the best initial one, at the
-    price of extra shortest-path runs.
+    comparison runs). ``expand_all_ep2`` anchors detour paths at every
+    reachable remote endpoint instead of only the remote end of the best
+    feasible initial path, at the price of one more tree per endpoint.
     """
     net = state.net
     validate_request_nodes(net, req)
     beta_bar = req.total_bandwidth()
 
-    dist, parent = _dijkstra(
-        net, state.residual_beta, req.ep1, req.ep2_set, beta_bar, params.delta
-    )
-    reached = [t for t in sorted(req.ep2_set) if not math.isinf(dist[t])]
+    user = _Tree(net, state.residual_beta, req.ep1, beta_bar, params.delta)
+    user.grow(req.ep2_set)
+    reached = [t for t in sorted(req.ep2_set) if not math.isinf(user.dist[t])]
     if not reached:
         return EmbedOutcome(None, reason=REASON_NO_ROUTE)
 
-    candidates: list[CandidateSolution] = []
-    initial_paths = []
+    # Rank every path by (cost, length, path); only paths walked in scan
+    # order are built and checked, each at most once.
+    ranked: list[tuple[float, int, tuple[NodeId, ...]]] = []
+    checked: dict[tuple[NodeId, ...], tuple[CandidateSolution | None, str | None]] = {}
+    unplaced: str | None = None
+
+    def rank(path: tuple[NodeId, ...], arcs: list[int]) -> None:
+        nonlocal unplaced
+        placement, code = price_path(state, path, arcs, req, params)
+        if placement is None:
+            unplaced = unplaced or code
+        else:
+            ranked.append((placement[1], len(path), path))
+
+    def check(path: tuple[NodeId, ...]) -> tuple[CandidateSolution | None, str | None]:
+        if path not in checked:
+            checked[path] = place_on_path(state, path, req, params)
+        return checked[path]
+
+    path_nodes: set[NodeId] = set()
     for target in reached:
-        path = _walk_back(parent, req.ep1, target)
-        initial_paths.append(path)
-        candidate, _ = place_on_path(state, path, req, params)
-        if candidate is not None:
-            candidates.append(candidate)
+        path, arcs = user.path_to(target)
+        path_nodes.update(path)
+        rank(path, arcs)
+    n_initial = len(ranked)
 
     # Detour round: look for spare CPU beyond whatever the initial paths saw.
-    path_nodes = {node for path in initial_paths for node in path}
     max_seen = max(state.residual_gamma[node] for node in path_nodes)
     expansion = {
         node
@@ -241,40 +335,38 @@ def pess_embed(
         and state.residual_gamma[node] > max_seen
     }
     if expansion:
-        if candidates:
-            best_initial = min(candidates, key=CandidateSolution.sort_key)
-            anchor_ep2s = [best_initial.path[-1]]
-        else:
-            # No initial placement worked; anchor the detours at the remote
-            # endpoint whose path was cheapest so the expansion can still
-            # rescue the request.
-            anchor_ep2s = [min(reached, key=lambda t: (dist[t], t))]
         if expand_all_ep2:
-            anchor_ep2s = reached
-        dist1, parent1 = _dijkstra(
-            net, state.residual_beta, req.ep1, expansion, beta_bar, params.delta
-        )
-        for anchor in anchor_ep2s:
-            dist2, parent2 = _dijkstra(
-                net, state.residual_beta, anchor, expansion, beta_bar, params.delta
-            )
+            anchors = reached
+        else:
+            # Anchor at the remote end of the cheapest initial path that
+            # places; failing that, at the remote endpoint whose path was
+            # cheapest, so the expansion can still rescue the request.
+            anchors = [min(reached, key=lambda t: (user.dist[t], t))]
+            for _, _, path in sorted(ranked[:n_initial]):
+                if check(path)[0] is not None:
+                    anchors = [path[-1]]
+                    break
+        user.grow(expansion)
+        for anchor in anchors:
+            remote = _Tree(net, state.residual_beta, anchor, beta_bar, params.delta)
+            remote.grow(expansion)
             for via in sorted(expansion):
-                if math.isinf(dist1[via]) or math.isinf(dist2[via]):
+                if math.isinf(user.dist[via]) or math.isinf(remote.dist[via]):
                     continue
-                head = _walk_back(parent1, req.ep1, via)
-                tail = _walk_back(parent2, anchor, via)
-                joined = head + tuple(reversed(tail))[1:]
+                head, head_arcs = user.path_to(via)
+                tail, tail_arcs = remote.path_to(via)
+                joined = head + tail[-2::-1]
                 if len(set(joined)) != len(joined):
                     continue
-                candidate, _ = place_on_path(state, joined, req, params)
-                if candidate is not None:
-                    candidates.append(candidate)
+                rank(joined, head_arcs + [arc ^ 1 for arc in reversed(tail_arcs)])
 
-    if not candidates:
-        return EmbedOutcome(None, reason=REASON_INFEASIBLE)
-
-    candidates.sort(key=CandidateSolution.sort_key, reverse=scan_descending)
-    for candidate in candidates:
+    ranked.sort(reverse=scan_descending)
+    violation = None if ranked else unplaced
+    for _, _, path in ranked:
+        candidate, code = check(path)
+        if candidate is None:
+            violation = violation or code
+            continue
         if recheck_operational(state, candidate.embedding, req, params).ok:
             service_id = None
             if register:
@@ -285,4 +377,5 @@ def pess_embed(
                 chain_latencies=candidate.chain_latencies,
                 service_id=service_id,
             )
-    return EmbedOutcome(None, reason=REASON_INFEASIBLE)
+        violation = violation or "op-latency"
+    return EmbedOutcome(None, reason=REASON_INFEASIBLE, violation=violation)

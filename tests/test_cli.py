@@ -58,6 +58,21 @@ class TestEmbed:
         assert code == 2
         assert json.loads(out) == {"status": "rejected", "reason": "no-route"}
 
+    def test_infeasible_rejection_names_violation(self, capsys, tmp_path):
+        req = tmp_path / "tight.yaml"
+        req.write_text(
+            "ep1: 0\nep2: [3]\nchains:\n"
+            "  - direction: up\n    bandwidth: 1000\n    max_latency: 1.0e-9\n"
+        )
+        code, out, err = run(
+            capsys, "embed", "--topology", "ba", "--nodes", "8",
+            "--request-file", str(req),
+        )
+        assert code == 2, err
+        assert json.loads(out) == {
+            "status": "rejected", "reason": "infeasible", "violation": "latency",
+        }
+
     def test_builtin_topologies(self, capsys, request_file):
         for name in ("garr", "stanford"):
             code, out, _ = run(

@@ -2,13 +2,16 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from helpers import build_net, chain, path_net, request, vsnf
 from pess.heuristic import (
     REASON_INFEASIBLE,
     REASON_NO_ROUTE,
+    _Tree,
     pess_embed,
     place_on_path,
+    price_path,
 )
 from pess.service import (
     DOWN,
@@ -17,9 +20,10 @@ from pess.service import (
     ServiceError,
     builtin_catalog,
     generate_request,
+    infer_stateful_groups,
 )
 from pess.simulator import WorkloadConfig, generate_stream, replay
-from pess.state import CostParams, NetworkState, validate_embedding
+from pess.state import CostParams, NetworkState, embedding_cost, validate_embedding
 from pess.topology import PhysicalNetwork, generate_barabasi_albert
 
 PARAMS = CostParams()
@@ -145,6 +149,103 @@ class TestPlaceOnPath:
         assert cand is None and code == "stateful"
 
 
+@st.composite
+def priced_instances(draw):
+    """A small random network with random residuals, a simple path from a
+    node, and a request with ep1/region pins (some unmatched), vetoes and
+    mixed directions."""
+    n = draw(st.integers(2, 7))
+    edges = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
+    extra = [(a, b) for a in range(n) for b in range(a + 1, n) if (a, b) not in edges]
+    edges += draw(st.lists(st.sampled_from(extra), unique=True, max_size=4)) if extra else []
+    links = [(a, b, {"bandwidth": draw(st.integers(10**7, 10**8)),
+                     "delay": draw(st.floats(0.0, 1e-3))}) for a, b in edges]
+    caps = draw(st.lists(st.integers(10**8, 10**10), min_size=n, max_size=n))
+    dmz = draw(st.sets(st.integers(0, n - 1), min_size=1))
+    net = build_net(caps, links, queuing=draw(st.sampled_from([0.0, 1e-4])),
+                    regions={"dmz": dmz})
+    state = NetworkState.fresh(net)
+
+    def residual(nominal):
+        return draw(st.one_of(st.just(nominal), st.integers(nominal // 10, nominal),
+                              st.integers(0, nominal)))
+
+    state.residual_gamma = [residual(c) for c in caps]
+    state.residual_beta = [residual(net.arc_bandwidth(arc)) for arc in range(net.n_arcs)]
+
+    path = [draw(st.integers(0, n - 1))]
+    for _ in range(draw(st.integers(1, n - 1))):
+        steps = sorted(b for b, _ in net.adjacency[path[-1]] if b not in path)
+        if not steps:
+            break
+        path.append(draw(st.sampled_from(steps)))
+    path = tuple(path)
+
+    specs = [vsnf("snort", 9.5, stateful=True, region=region)
+             for region in (None, None, "ep1", "dmz", "lab")]
+    specs += [vsnf("openvpn", 31.0, region=region) for region in (None, None, "ep1", "dmz")]
+    chains = [
+        chain(*draw(st.lists(st.sampled_from(specs), max_size=3)),
+              direction=draw(st.sampled_from([UP, DOWN])),
+              beta=draw(st.integers(1, 10**6)),
+              lam=draw(st.sampled_from([1e-3, 1.0])))
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    ep1 = draw(st.sampled_from([path[0], path[0], draw(st.integers(0, n - 1))]))
+    req = request(ep1, {path[-1]} | draw(st.sets(st.integers(0, n - 1))), *chains,
+                  groups=infer_stateful_groups(chains),
+                  veto=draw(st.sets(st.integers(0, n - 1), max_size=2)))
+    params = CostParams(alpha=draw(st.sampled_from([0.0, 1.0, 2.5])),
+                        delta=draw(st.sampled_from([1e-6, 0.5])))
+    return state, path, req, params
+
+
+class TestPricePath:
+    @settings(max_examples=400, deadline=None)
+    @given(priced_instances())
+    def test_key_is_exact(self, instance):
+        state, path, req, params = instance
+        net = state.net
+        arcs = [net.arc(a, b) for a, b in zip(path, path[1:])]
+        placement, code = price_path(state, path, arcs, req, params)
+        cand, failed = place_on_path(state, path, req, params)
+        event(f"place_on_path: {failed or 'placed'}")
+        if placement is None:
+            assert code in ("region", "veto")
+            assert cand is None and failed == code
+            return
+        assert failed not in ("region", "veto")
+        if cand is not None:
+            hosts, cost = placement
+            assert hosts == tuple(cemb.vsnf_nodes for cemb in cand.embedding.chains)
+            assert cost == cand.cost == embedding_cost(state, cand.embedding, req, net, params)
+
+
+class TestTree:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_grown_tree_reads_like_a_fresh_one(self, data):
+        # The detour round grows the user-side tree on toward the expansion
+        # set instead of searching afresh; every settled value must agree.
+        draw = data.draw
+        n = draw(st.integers(3, 30))
+        net = generate_barabasi_albert(n, 2, seed=draw(st.integers(0, 99)))
+        residual_beta = [draw(st.sampled_from([10**10, 10**9, 3 * 10**8, 10**3]))
+                         for _ in range(net.n_arcs)]
+        source = draw(st.integers(0, n - 1))
+        first = draw(st.sets(st.integers(0, n - 1), min_size=1))
+        then = draw(st.sets(st.integers(0, n - 1), min_size=1))
+        grown = _Tree(net, residual_beta, source, 10**6, 1e-6)
+        grown.grow(first)
+        grown.grow(then)
+        fresh = _Tree(net, residual_beta, source, 10**6, 1e-6)
+        fresh.grow(then)
+        for target in then:
+            assert grown.dist[target] == fresh.dist[target]
+            if fresh.dist[target] != float("inf"):
+                assert grown.path_to(target) == fresh.path_to(target)
+
+
 class TestPessEmbed:
     def test_two_node_places_on_higher_residual(self):
         net = build_net([10**10, 3 * 10**10], [(0, 1)])
@@ -164,6 +265,7 @@ class TestPessEmbed:
         out = pess_embed(state, req, PARAMS)
         assert not out.accepted
         assert out.reason == REASON_NO_ROUTE
+        assert out.violation is None
 
     def test_pruning_uses_total_bandwidth(self):
         # Each chain alone fits on the 1e10 links, the pair does not.
@@ -184,6 +286,40 @@ class TestPessEmbed:
         req = request(0, [2], chain(beta=1000, lam=0.2))
         out = pess_embed(state, req, PARAMS)
         assert out.reason == REASON_INFEASIBLE
+        assert out.violation == "latency"
+
+    def test_refusal_names_node_capacity(self):
+        net = path_net([100, 100, 100])
+        state = NetworkState.fresh(net)
+        out = pess_embed(state, request(0, [2], chain(vsnf(), beta=10**6, lam=0.4)), PARAMS)
+        assert (out.reason, out.violation) == (REASON_INFEASIBLE, "node-capacity")
+
+    def test_refusal_names_op_latency(self):
+        # The first chain runs at 3.7 ms against its 5 ms bound; a second
+        # such VSNF on node 0 would push it to 6.9 ms.
+        net = build_net([3 * 10**7, 1], [(0, 1)])
+        state = NetworkState.fresh(net)
+        assert pess_embed(state, request(0, [1], chain(vsnf(), lam=5e-3)), PARAMS).accepted
+        out = pess_embed(state, request(0, [1], chain(vsnf(), lam=0.4)), PARAMS)
+        assert (out.reason, out.violation) == (REASON_INFEASIBLE, "op-latency")
+
+    def test_refusal_names_veto_when_no_path_places(self):
+        net = path_net([10**10] * 3)
+        state = NetworkState.fresh(net)
+        req = request(0, [2], chain(vsnf(), beta=1000, lam=0.4), veto=[0, 1, 2])
+        out = pess_embed(state, req, PARAMS)
+        assert (out.reason, out.violation) == (REASON_INFEASIBLE, "veto")
+
+    def test_refusal_names_first_candidate_in_scan_order(self):
+        # The direct path's nodes are too small to host the VSNF, which makes
+        # it the expensive candidate; the detour via node 2 is cheap but slow.
+        net = build_net([100, 100, 10**10], [(0, 1), (0, 2, {"delay": 0.3}), (2, 1)])
+        state = NetworkState.fresh(net)
+        req = request(0, [1], chain(vsnf(), beta=10**6, lam=0.2))
+        ascending = pess_embed(state, req, PARAMS)
+        descending = pess_embed(state, req, PARAMS, scan_descending=True)
+        assert (ascending.reason, ascending.violation) == (REASON_INFEASIBLE, "latency")
+        assert (descending.reason, descending.violation) == (REASON_INFEASIBLE, "node-capacity")
 
     def test_register_false_leaves_state(self):
         net = path_net([10**10] * 3)
