@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -10,11 +11,13 @@ from pess.oracle import (
     RESOURCE_COST,
     OracleBudgetExceeded,
     OracleConfig,
+    _Search,
     exact_embed,
     objective_value,
 )
 from pess.service import (
     DOWN,
+    UP,
     RequestGenConfig,
     ServiceError,
     builtin_catalog,
@@ -244,3 +247,132 @@ class TestDominance:
                 assert validate_embedding(state, exact.embedding, req, PARAMS) == []
                 solved += 1
         assert solved >= 25
+
+
+# -- decisions pinned, pruning exact ------------------------------------------
+
+_OBJECTIVES = (RESOURCE_COST, ACTIVE_NODES, MIN_LATENCY)
+
+
+def _micro_cases(seed, count):
+    """Seeded micro-instances: ``(state, request, max_path_len)``.
+
+    Every other state is loaded by a short ``pess_embed`` churn with tight
+    latency bounds, so the oracle's operational recheck runs and rejects
+    leaves. Every third request is hand-shaped rather than drawn: chains of
+    two VSNFs, one of them pinned to ep1 after a free one (its segments
+    zigzag through ep1), a VSNF whose CPU demand rounds to 0, and a
+    stateful pair shared by an up and a down chain.
+    """
+    rng = random.Random(seed)
+    catalog = builtin_catalog()
+    drawn = RequestGenConfig(chain_count=(1, 2), vsnfs_per_chain=(0, 2), ep2_size=1,
+                             latency_menu=(1.5e-3, 3e-3, 0.1))
+    load = RequestGenConfig(chain_count=(1, 2), vsnfs_per_chain=(1, 2), ep2_size=1,
+                            latency_menu=(1.3e-3, 2e-3, 3e-3), bandwidth_range=(1e7, 2e8),
+                            external_latency=0.0)
+    tiny = vsnf("tiny", 1e-9)
+    vpn_ep1 = vsnf("openvpn", 31.0, region="ep1")
+    ids = vsnf("snort", 9.5, stateful=True)
+    for idx in range(count):
+        net = generate_barabasi_albert(rng.randrange(5, 7), rng.choice((1, 2)),
+                                       seed=rng.randrange(2**31), cpu_capacity=3 * 10**9)
+        state = NetworkState.fresh(net)
+        if idx % 2:
+            for _ in range(6):
+                pess_embed(state, generate_request(net, catalog, load, rng), PARAMS)
+        if idx % 3 == 2:
+            ep1, ep2 = rng.sample(range(net.n_nodes), 2)
+            beta = rng.choice((10**6, 5 * 10**7))
+            lam = rng.choice((2e-3, 0.1))
+            shapes = [
+                (chain(ids, vpn_ep1, beta=beta, lam=lam),
+                 chain(tiny, ids, direction=DOWN, beta=beta, lam=lam)),
+                (chain(tiny, vsnf("vsrx-fw", 2.3), direction=rng.choice((UP, DOWN)),
+                       beta=beta, lam=lam),),
+            ]
+            chains = rng.choice(shapes)
+            group = [(c, p) for c, ch in enumerate(chains)
+                     for p, spec in enumerate(ch.vsnfs) if spec is ids]
+            req = request(ep1, [ep2], *chains, groups=[group] if len(group) > 1 else [])
+        else:
+            req = generate_request(net, catalog, drawn, rng)
+        # Segments of 3 arcs only where few VSNFs keep the product small.
+        yield state, req, 3 if sum(len(ch.vsnfs) for ch in req.chains) <= 2 else 2
+
+
+def _outcome(state, req, cfg, keep_scores):
+    try:
+        return exact_embed(state, req, cfg, PARAMS, keep_scores=keep_scores)
+    except OracleBudgetExceeded:
+        return None
+
+
+# SHA-256 over every outcome of test_oracle_decisions_pinned. A change to
+# the oracle's optima, tie-breaks, scores, evaluation counts or budget
+# exhaustion changes it.
+ORACLE_DIGEST = "a57b4dfbb2ea8beae3be21419b457c66aa6b9f2041c9dfde7ca158ff33c58455"
+
+
+def test_oracle_decisions_pinned():
+    """Every exact_embed outcome on seeded micro-instances, fresh and
+    loaded, all objectives, pruned and by exhaustion, and under a budget
+    small enough to run out on some of them."""
+    digest = hashlib.sha256()
+    seen = {}
+    for state, req, max_len in _micro_cases(3, 40):
+        for objective in _OBJECTIVES:
+            for keep_scores, budget in ((False, 2_000_000), (True, 2_000_000), (True, 400)):
+                cfg = OracleConfig(objective=objective, max_path_len=max_len,
+                                   max_enumeration=budget)
+                out = _outcome(state, req, cfg, keep_scores)
+                if out is None:
+                    record = (objective, keep_scores, budget, "budget")
+                else:
+                    emb = out.embedding.to_dict() if out.optimal else None
+                    # Pruning cuts the active-nodes leaves, so only the
+                    # exhaustive runs pin their count.
+                    evaluated = (out.evaluated
+                                 if keep_scores or objective != ACTIVE_NODES else None)
+                    record = (objective, keep_scores, budget, out.status, emb,
+                              repr(out.score), evaluated, repr(out.scores))
+                seen[record[3]] = seen.get(record[3], 0) + 1
+                digest.update(repr(record).encode())
+    assert seen["optimal"] > 200 and seen["infeasible"] > 5 and seen["budget"] > 10
+    assert digest.hexdigest() == ORACLE_DIGEST
+
+
+def test_pruning_is_exact():
+    """Branch-and-bound returns what exhaustion returns, on every
+    objective, fresh and loaded states alike."""
+    for state, req, max_len in _micro_cases(8, 40):
+        for objective in _OBJECTIVES:
+            cfg = OracleConfig(objective=objective, max_path_len=max_len)
+            pruned = exact_embed(state, req, cfg, PARAMS)
+            full = exact_embed(state, req, cfg, PARAMS, keep_scores=True)
+            assert pruned.status == full.status
+            assert pruned.embedding == full.embedding
+            assert pruned.score == full.score
+            if full.optimal:
+                assert full.score == min(full.scores)
+            assert pruned.evaluated <= full.evaluated
+
+
+def test_option_latency_matches_chain_latency():
+    """The latency summed during the segment descent is chain_latency's,
+    bit for bit, including zigzag segments and VSNFs sharing a host."""
+    shapes = {"zigzag": 0, "shared-host": 0}
+    for state, req, max_len in _micro_cases(12, 30):
+        search = _Search(state, req, OracleConfig(max_path_len=max_len), PARAMS, True)
+        for chain_idx, spec in enumerate(req.chains):
+            for option in search.chain_options(chain_idx, {}):
+                cemb = option.cemb
+                assert option.latency == chain_latency(state, cemb, spec, state.net,
+                                                       PARAMS.delta)
+                hosts = cemb.vsnf_nodes
+                if len(set(hosts)) < len(hosts):
+                    shapes["shared-host"] += 1
+                arcs = cemb.arcs(state.net)
+                if any(arc ^ 1 in arcs for arc in arcs):
+                    shapes["zigzag"] += 1
+    assert shapes["zigzag"] > 50 and shapes["shared-host"] > 50
