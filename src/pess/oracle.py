@@ -4,9 +4,22 @@ Enumerates every placement of a request's entities (respecting region pins,
 veto sets and stateful co-location) combined with every simple-path routing
 between consecutive entities, filters with the same constraint battery the
 online heuristic uses, and returns the assignment minimising the configured
-objective. Branch-and-bound pruning only ever discards provably dominated or
-infeasible branches, so the returned optimum is exact whenever the
-enumeration budget is not exhausted.
+objective, ties going to the lexicographically smallest embedding. Branch-
+and-bound pruning only ever discards provably dominated or infeasible
+branches, so the returned optimum is exact whenever the enumeration budget
+is not exhausted.
+
+Each chain's options are built first. A chain's latency is summed while
+descending its segments, in the order ``chain_latency`` adds the same terms,
+so it equals that function bit for bit. An option keeps the paths it routes
+over and builds its per-arc bandwidth map only when the joint search first
+reaches it. The joint search bounds resource-cost and min-latency branches
+by the option contributions summed so far plus the cheapest completion. For
+active-nodes it bounds by the number of distinct hosts chosen so far: the
+union only grows. As those scores are whole numbers, a branch that can at
+best tie and whose chain keys already sort after the incumbent's is cut as
+well. The operational recheck runs only when the state has running chains.
+``keep_scores`` turns every objective bound off.
 """
 
 from __future__ import annotations
@@ -14,6 +27,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .service import UP, Chain, ServiceRequest
 from .state import (
@@ -101,17 +115,35 @@ def objective_value(
 class _PathInfo:
     nodes: tuple[NodeId, ...]
     arcs: tuple[int, ...]
+    delays: tuple[float, ...]  # propagation delay of each arc, in path order
     prop_delay: float
     inv_residual: float  # sum of 1/(residual+delta) over the arcs
+    mask: int  # bit ``arc`` set for every arc on the path
 
 
-@dataclass(frozen=True)
+@dataclass
 class _ChainOption:
-    cemb: ChainEmbedding
+    key: tuple  # ChainEmbedding's fields in order: the tie-break key
+    hosts: tuple[NodeId, ...]  # distinct VSNF hosts, zero demand included
     cpu_by_node: tuple[tuple[NodeId, int], ...]
-    bw_by_arc: tuple[tuple[int, int], ...]
+    peak_cpu: int  # largest demand on one node
+    paths: tuple[_PathInfo, ...]
+    beta: int
+    peak_bw: int  # at least the largest demand on one arc
     cost: float  # resource-cost contribution
     latency: float
+
+    @cached_property
+    def cemb(self) -> ChainEmbedding:
+        return ChainEmbedding(*self.key)
+
+    @cached_property
+    def bw_by_arc(self) -> tuple[tuple[int, int], ...]:
+        bw: dict[int, int] = {}
+        for info in self.paths:
+            for arc in info.arcs:
+                bw[arc] = bw.get(arc, 0) + self.beta
+        return tuple(bw.items())
 
 
 class _Search:
@@ -134,6 +166,7 @@ class _Search:
         )
         self.ticks = 0
         self.paths: dict[tuple[NodeId, NodeId], list[_PathInfo]] = {}
+        self.tight: dict[int, int] = {}
         self.best_score = math.inf
         self.best_key: tuple | None = None
         self.best_emb: Embedding | None = None
@@ -155,22 +188,29 @@ class _Search:
         if cached is not None:
             return cached
         if a == b:
-            found = [_PathInfo((a,), (), 0.0, 0.0)]
+            found = [_PathInfo((a,), (), (), 0.0, 0.0, 0)]
         else:
             found = []
             trail: list[NodeId] = [a]
             on_trail = {a}
             arcs: list[int] = []
+            residual = self.state.residual_beta
 
             def descend(here: NodeId) -> None:
                 if here == b:
                     self.tick()
-                    prop = sum(self.net.arc_delay(arc) for arc in arcs)
-                    inv = sum(
-                        1.0 / (self.state.residual_beta[arc] + self.params.delta)
-                        for arc in arcs
+                    delays = tuple(self.net.arc_delay(arc) for arc in arcs)
+                    inv = sum(1.0 / (residual[arc] + self.params.delta) for arc in arcs)
+                    found.append(
+                        _PathInfo(
+                            tuple(trail),
+                            tuple(arcs),
+                            delays,
+                            sum(delays),
+                            inv,
+                            sum(1 << arc for arc in arcs),
+                        )
                     )
-                    found.append(_PathInfo(tuple(trail), tuple(arcs), prop, inv))
                     return
                 if len(arcs) >= self.max_arcs:
                     return
@@ -231,33 +271,42 @@ class _Search:
     ) -> None:
         entity_hosts = (src, *hosts, dst)
         cpu: dict[NodeId, int] = {}
+        processing_terms = []
         processing = 0.0
         cpu_cost = 0.0
         for node, spec in zip(hosts, chain.vsnfs):
             demand = cpu_demand(spec.gamma_u, chain.beta_req)
             cpu[node] = cpu.get(node, 0) + demand
-            processing += processing_delay(
+            term = processing_delay(
                 spec.gamma_u,
                 chain.sigma,
                 self.state.residual_gamma[node],
                 demand,
                 self.params.delta,
             )
+            processing_terms.append(term)
+            processing += term
             cpu_cost += self.params.alpha * demand / (
                 self.state.residual_gamma[node] + self.params.delta
             )
         for node, demand in cpu.items():
             if demand > self.state.residual_gamma[node]:
                 return
+        # Queuing half-budgets each routed segment pays after its arcs, in
+        # chain_fixed_delay's order; a segment inside one host pays none.
         queuing = 0.0
+        segment_queuing = []
         n_entities = len(entity_hosts)
         for idx in range(n_entities - 1):
-            if entity_hosts[idx] == entity_hosts[idx + 1]:
-                continue
-            if 0 < idx:
-                queuing += self.net.nodes[entity_hosts[idx]].queuing_budget / 2.0
-            if idx + 1 < n_entities - 1:
-                queuing += self.net.nodes[entity_hosts[idx + 1]].queuing_budget / 2.0
+            terms = []
+            if entity_hosts[idx] != entity_hosts[idx + 1]:
+                if 0 < idx:
+                    terms.append(self.net.nodes[entity_hosts[idx]].queuing_budget / 2.0)
+                if idx + 1 < n_entities - 1:
+                    terms.append(self.net.nodes[entity_hosts[idx + 1]].queuing_budget / 2.0)
+            for term in terms:
+                queuing += term
+            segment_queuing.append(terms)
         prop_budget = chain.lambda_max - chain.pi_external - queuing - processing
         if prop_budget < -_PRUNE_SLACK:
             return
@@ -269,77 +318,92 @@ class _Search:
                 return
             segment_paths.append(paths)
 
+        cpu_by_node = tuple(sorted(cpu.items()))
+        distinct_hosts = tuple(node for node, _ in cpu_by_node)
+        peak_cpu = max(cpu.values(), default=0)
+        beta = chain.beta_req
+        # A simple path crosses an arc at most once, so the chain's own
+        # traffic puts at most one beta per segment on an arc. Only arcs
+        # with less residual than that many betas can overflow.
+        tight = self.tight_arcs(len(segment_paths) * beta)
         chosen: list[_PathInfo] = []
 
-        def descend(seg_idx: int, prop_sum: float) -> None:
+        # The latency is summed on the way down: chain_fixed_delay's terms
+        # (external, then per routed segment its arc delays one by one and
+        # its queuing halves), then chain_latency's processing terms in VSNF
+        # order. The same additions in the same order give chain_latency's
+        # value bit for bit; test_option_latency_matches_chain_latency pins it.
+        def descend(
+            seg_idx: int, prop_sum: float, fixed: float, bw_cost: float, used: int
+        ) -> None:
             if seg_idx == len(segment_paths):
                 self.tick()
-                self.finish_option(chain, src, dst, hosts, cpu, cpu_cost, chosen, options)
+                latency = fixed
+                for term in processing_terms:
+                    latency += term
+                if latency > chain.lambda_max:
+                    return
+                # An upper bound on the busiest arc's demand, exact when
+                # the option touches a tight arc.
+                peak_bw = beta * len(chosen)
+                if used & tight:
+                    peak_bw = _peak_arc_demand(chosen, beta, self.state.residual_beta)
+                    if peak_bw is None:
+                        return
+                options.append(
+                    _ChainOption(
+                        key=(src, dst, hosts, tuple(info.nodes for info in chosen)),
+                        hosts=distinct_hosts,
+                        cpu_by_node=cpu_by_node,
+                        peak_cpu=peak_cpu,
+                        paths=tuple(chosen),
+                        beta=beta,
+                        peak_bw=peak_bw,
+                        cost=bw_cost + cpu_cost,
+                        latency=latency,
+                    )
+                )
                 return
             for info in segment_paths[seg_idx]:
                 if prop_sum + info.prop_delay > prop_budget + _PRUNE_SLACK:
                     continue
+                delay = fixed
+                for term in info.delays:
+                    delay += term
+                for term in segment_queuing[seg_idx]:
+                    delay += term
                 chosen.append(info)
-                descend(seg_idx + 1, prop_sum + info.prop_delay)
+                descend(
+                    seg_idx + 1,
+                    prop_sum + info.prop_delay,
+                    delay,
+                    bw_cost + info.inv_residual * beta,
+                    used | info.mask,
+                )
                 chosen.pop()
 
-        descend(0, 0.0)
+        descend(0, 0.0, chain.pi_external, 0.0, 0)
 
-    def finish_option(
-        self,
-        chain: Chain,
-        src: NodeId,
-        dst: NodeId,
-        hosts: tuple[NodeId, ...],
-        cpu: dict[NodeId, int],
-        cpu_cost: float,
-        chosen: list[_PathInfo],
-        options: list[_ChainOption],
-    ) -> None:
-        cemb = ChainEmbedding(
-            src=src,
-            dst=dst,
-            vsnf_nodes=hosts,
-            segments=tuple(info.nodes for info in chosen),
-        )
-        # Final feasibility through the shared latency function, so the
-        # oracle can never disagree with the acceptance battery.
-        latency = chain_latency(self.state, cemb, chain, self.net, self.params.delta)
-        if latency > chain.lambda_max:
-            return
-        bw: dict[int, int] = {}
-        bw_cost = 0.0
-        for info in chosen:
-            bw_cost += info.inv_residual * chain.beta_req
-            for arc in info.arcs:
-                demand = bw.get(arc, 0) + chain.beta_req
-                if demand > self.state.residual_beta[arc]:
-                    return
-                bw[arc] = demand
-        options.append(
-            _ChainOption(
-                cemb=cemb,
-                cpu_by_node=tuple(sorted(cpu.items())),
-                bw_by_arc=tuple(sorted(bw.items())),
-                cost=bw_cost + cpu_cost,
-                latency=latency,
+    def tight_arcs(self, demand: int) -> int:
+        """Mask of the arcs whose residual bandwidth is below ``demand``."""
+        mask = self.tight.get(demand)
+        if mask is None:
+            mask = sum(
+                1 << arc
+                for arc, residual in enumerate(self.state.residual_beta)
+                if residual < demand
             )
-        )
+            self.tight[demand] = mask
+        return mask
 
     def option_order(self, option: _ChainOption):
-        if self.cfg.objective == MIN_LATENCY:
-            contribution = option.latency
-        elif self.cfg.objective == ACTIVE_NODES:
-            contribution = float(len({n for n, _ in option.cpu_by_node}))
-        else:
-            contribution = option.cost
-        return (contribution, _encode_chain(option.cemb))
+        if self.cfg.objective == ACTIVE_NODES:
+            return (float(len(option.hosts)), option.key)
+        return (self.contribution(option), option.key)
 
     def contribution(self, option: _ChainOption) -> float:
         if self.cfg.objective == MIN_LATENCY:
             return option.latency
-        if self.cfg.objective == ACTIVE_NODES:
-            return 0.0  # union size is not additive; no per-chain bound
         return option.cost
 
     # -- joint search over chains -------------------------------------------
@@ -387,82 +451,127 @@ class _Search:
 
     def join_chains(self, per_chain: list[list[_ChainOption]]) -> None:
         n_chains = len(per_chain)
+        active_nodes = self.cfg.objective == ACTIVE_NODES
+        prune = not self.keep_scores
         suffix_lb = [0.0] * (n_chains + 1)
-        for idx in range(n_chains - 1, -1, -1):
-            suffix_lb[idx] = suffix_lb[idx + 1] + min(
-                self.contribution(opt) for opt in per_chain[idx]
-            )
+        if not active_nodes:
+            for idx in range(n_chains - 1, -1, -1):
+                suffix_lb[idx] = suffix_lb[idx + 1] + min(
+                    self.contribution(opt) for opt in per_chain[idx]
+                )
+        residual_gamma = self.state.residual_gamma
+        residual_beta = self.state.residual_beta
         cpu_used: dict[NodeId, int] = {}
         bw_used: dict[int, int] = {}
+        host_refs: dict[NodeId, int] = {}  # chosen options hosting each node
         chosen: list[_ChainOption] = []
 
         def descend(idx: int, acc: float) -> None:
-            if idx == n_chains:
-                self.leaf(chosen)
-                return
+            last = idx == n_chains - 1
+            # The least headroom the chosen options leave on any node or arc
+            # they use. An option whose largest demand fits in it fits
+            # everywhere, as it was checked alone against the residuals.
+            cpu_room = min(
+                (residual_gamma[node] - used for node, used in cpu_used.items()),
+                default=math.inf,
+            )
+            bw_room = min(
+                (residual_beta[arc] - used for arc, used in bw_used.items()),
+                default=math.inf,
+            )
             for option in per_chain[idx]:
-                contribution = self.contribution(option)
-                if not self.keep_scores and (
-                    acc + contribution + suffix_lb[idx + 1] > self.best_score + _PRUNE_SLACK
-                ):
-                    if self.cfg.objective != ACTIVE_NODES:
+                if active_nodes:
+                    # The host union only grows, so its size after this
+                    # option bounds every completion. Options are sorted by
+                    # their own host count, not by what they add to the
+                    # union, so a dominated one does not end the loop.
+                    score = len(host_refs)
+                    for node in option.hosts:
+                        if node not in host_refs:
+                            score += 1
+                    # Scores are whole numbers: a completion that can at
+                    # best tie and whose key prefix already sorts after the
+                    # incumbent's cannot win the tie-break either.
+                    if prune and (
+                        score > self.best_score
+                        or score == self.best_score
+                        and tuple(o.key for o in chosen) + (option.key,)
+                        > self.best_key[: idx + 1]
+                    ):
+                        continue
+                else:
+                    score = acc + self.contribution(option)
+                    if prune and score + suffix_lb[idx + 1] > self.best_score + _PRUNE_SLACK:
                         # Options are sorted by contribution, so everything
                         # after this one is dominated too.
                         break
+                if option.peak_cpu > cpu_room and any(
+                    cpu_used.get(node, 0) + demand > residual_gamma[node]
+                    for node, demand in option.cpu_by_node
+                ):
                     continue
-                fits = True
-                for node, demand in option.cpu_by_node:
-                    if cpu_used.get(node, 0) + demand > self.state.residual_gamma[node]:
-                        fits = False
-                        break
-                if fits:
-                    for arc, demand in option.bw_by_arc:
-                        if bw_used.get(arc, 0) + demand > self.state.residual_beta[arc]:
-                            fits = False
-                            break
-                if not fits:
+                if option.peak_bw > bw_room and any(
+                    bw_used.get(arc, 0) + demand > residual_beta[arc]
+                    for arc, demand in option.bw_by_arc
+                ):
                     continue
-                for node, demand in option.cpu_by_node:
-                    cpu_used[node] = cpu_used.get(node, 0) + demand
-                for arc, demand in option.bw_by_arc:
-                    bw_used[arc] = bw_used.get(arc, 0) + demand
                 chosen.append(option)
-                descend(idx + 1, acc + contribution)
+                if last:
+                    self.leaf(chosen, float(score))
+                else:
+                    for node, demand in option.cpu_by_node:
+                        cpu_used[node] = cpu_used.get(node, 0) + demand
+                    for arc, demand in option.bw_by_arc:
+                        bw_used[arc] = bw_used.get(arc, 0) + demand
+                    for node in option.hosts:
+                        host_refs[node] = host_refs.get(node, 0) + 1
+                    descend(idx + 1, score)
+                    for node, demand in option.cpu_by_node:
+                        cpu_used[node] -= demand
+                    for arc, demand in option.bw_by_arc:
+                        bw_used[arc] -= demand
+                    for node in option.hosts:
+                        host_refs[node] -= 1
+                        if not host_refs[node]:
+                            del host_refs[node]
                 chosen.pop()
-                for node, demand in option.cpu_by_node:
-                    cpu_used[node] -= demand
-                for arc, demand in option.bw_by_arc:
-                    bw_used[arc] -= demand
 
         descend(0, 0.0)
 
-    def leaf(self, chosen: list[_ChainOption]) -> None:
+    def leaf(self, chosen: list[_ChainOption], score: float) -> None:
         self.tick()
-        emb = Embedding(tuple(option.cemb for option in chosen))
-        if not recheck_operational(self.state, emb, self.req, self.params).ok:
-            return
+        emb = None
+        if self.state.operational:
+            emb = Embedding(tuple(option.cemb for option in chosen))
+            if not recheck_operational(self.state, emb, self.req, self.params).ok:
+                return
         self.evaluated += 1
-        if self.cfg.objective == ACTIVE_NODES:
-            score = float(len(emb.hosting_nodes()))
-        elif self.cfg.objective == MIN_LATENCY:
-            score = sum(option.latency for option in chosen)
-        else:
-            score = sum(option.cost for option in chosen)
         if self.keep_scores:
             self.scores.append(score)
-        key = _encode(emb)
-        if score < self.best_score or (score == self.best_score and key < self.best_key):
+        if score > self.best_score:
+            return
+        key = tuple(option.key for option in chosen)
+        if score < self.best_score or key < self.best_key:
             self.best_score = score
             self.best_key = key
+            if emb is None:
+                emb = Embedding(tuple(option.cemb for option in chosen))
             self.best_emb = emb
 
 
-def _encode_chain(cemb: ChainEmbedding) -> tuple:
-    return (cemb.src, cemb.dst, cemb.vsnf_nodes, cemb.segments)
-
-
-def _encode(emb: Embedding) -> tuple:
-    return tuple(_encode_chain(cemb) for cemb in emb.chains)
+def _peak_arc_demand(
+    chosen: list[_PathInfo], beta: int, residual_beta: list[int]
+) -> int | None:
+    """Largest bandwidth one chain's routed segments put on a single arc, or
+    None when that exceeds the arc's residual. An arc used by k segments
+    carries k * beta."""
+    counts: dict[int, int] = {}
+    for info in chosen:
+        for arc in info.arcs:
+            counts[arc] = counts.get(arc, 0) + 1
+    if any(count * beta > residual_beta[arc] for arc, count in counts.items()):
+        return None
+    return max(counts.values(), default=0) * beta
 
 
 def exact_embed(

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
 
-from .topology import NodeId, PhysicalNetwork
+from .topology import NodeId, PhysicalNetwork, reject_unknown_keys
 
 UP = "up"
 DOWN = "down"
@@ -363,16 +363,30 @@ def baseline_request(req: ServiceRequest) -> ServiceRequest:
 
 # -- request document I/O --------------------------------------------------
 
+# The keys each level of a request document may carry; any other key is
+# rejected with its location rather than read as a default.
+_REQUEST_KEYS = {
+    "request": frozenset({"ep1", "ep2", "veto", "chains", "stateful_groups", "vsnf_defs"}),
+    "chain": frozenset(
+        {"direction", "vsnfs", "bandwidth", "max_latency", "packet_size", "external_latency"}
+    ),
+    "vsnf": frozenset({"name", "gamma_u", "stateful", "region"}),
+    "vsnf_def": frozenset({"gamma_u", "stateful", "region"}),
+}
+
 
 def request_from_doc(doc: Mapping, catalog: VsnfCatalog | None = None) -> ServiceRequest:
     """Build a request from a parsed document; see tests for the layout.
 
     VSNFs may be referenced by catalog name or written inline as mappings
     with ``name``/``gamma_u``/``stateful``/``region``; an optional top-level
-    ``vsnf_defs`` mapping adds local definitions on top of the catalog.
+    ``vsnf_defs`` mapping adds local definitions on top of the catalog. Any
+    other key, at the top level, in a chain or in a VSNF mapping, is
+    rejected with its location.
     """
     if not isinstance(doc, Mapping):
         raise ServiceError("request document must be a mapping")
+    reject_unknown_keys(doc, _REQUEST_KEYS["request"], "request", ServiceError)
     catalog = dict(catalog or builtin_catalog())
     for name, spec_doc in (doc.get("vsnf_defs") or {}).items():
         catalog[str(name)] = _vsnf_from_doc(str(name), spec_doc)
@@ -383,6 +397,7 @@ def request_from_doc(doc: Mapping, catalog: VsnfCatalog | None = None) -> Servic
                 raise ServiceError(f"{where}: unknown vsnf '{ref}'")
             return catalog[ref]
         if isinstance(ref, Mapping):
+            reject_unknown_keys(ref, _REQUEST_KEYS["vsnf"], where, ServiceError)
             name = ref.get("name")
             if not name:
                 raise ServiceError(f"{where}: inline vsnf needs a name")
@@ -416,8 +431,10 @@ def request_from_doc(doc: Mapping, catalog: VsnfCatalog | None = None) -> Servic
         where = f"chains[{idx}]"
         if not isinstance(entry, Mapping):
             raise ServiceError(f"{where}: expected a mapping")
+        reject_unknown_keys(entry, _REQUEST_KEYS["chain"], where, ServiceError)
         vsnfs = tuple(
-            lookup(ref, where) for ref in (entry.get("vsnfs") or [])
+            lookup(ref, f"{where}.vsnfs[{pos}]")
+            for pos, ref in enumerate(entry.get("vsnfs") or [])
         )
         try:
             chains.append(
@@ -458,8 +475,10 @@ def request_from_doc(doc: Mapping, catalog: VsnfCatalog | None = None) -> Servic
 
 
 def _vsnf_from_doc(name: str, doc) -> VsnfSpec:
+    where = f"vsnf_defs['{name}']"
     if not isinstance(doc, Mapping) or "gamma_u" not in doc:
-        raise ServiceError(f"vsnf_defs['{name}'] needs at least gamma_u")
+        raise ServiceError(f"{where} needs at least gamma_u")
+    reject_unknown_keys(doc, _REQUEST_KEYS["vsnf_def"], where, ServiceError)
     region = doc.get("region")
     return VsnfSpec(
         name,

@@ -255,13 +255,33 @@ def _doc_error(location: str, message: str) -> TopologyError:
     return TopologyError(f"{location}: {message}")
 
 
+# The keys each level of a topology document may carry. Anything else is
+# most likely a misspelling that would otherwise quietly yield a default.
+_TOPOLOGY_KEYS = {
+    "topology": frozenset({"nodes", "links", "regions"}),
+    "node": frozenset({"name", "capacity", "queuing_budget"}),
+    "link": frozenset({"endpoints", "bandwidth", "distance_km", "delay"}),
+}
+
+
+def reject_unknown_keys(
+    entry: Mapping, allowed: frozenset[str], where: str, error: type[Exception] = TopologyError
+) -> None:
+    """Raise ``error`` naming ``where`` and the first key outside ``allowed``."""
+    for key in entry:
+        if key not in allowed:
+            raise error(f"{where}: unknown key {key!r}")
+
+
 def load_topology(source: str | Path | Mapping) -> PhysicalNetwork:
     """Parse a topology document (YAML text, path, or already-parsed mapping).
 
     The document has three top-level keys: ``nodes`` (name, capacity, optional
     queuing_budget), ``links`` (endpoints plus bandwidth and either
     distance_km or an explicit delay; delay wins when both appear), and
-    optional ``regions`` mapping region names to node-name lists.
+    optional ``regions`` mapping region names to node-name lists. Any other
+    key, at the top level or in a node or link entry, is rejected with its
+    location.
     """
     doc = source
     if isinstance(source, Path):
@@ -273,6 +293,7 @@ def load_topology(source: str | Path | Mapping) -> PhysicalNetwork:
             doc = yaml.safe_load(source)
     if not isinstance(doc, Mapping):
         raise TopologyError("topology document must be a mapping")
+    reject_unknown_keys(doc, _TOPOLOGY_KEYS["topology"], "topology")
 
     raw_nodes = doc.get("nodes")
     if not isinstance(raw_nodes, list) or not raw_nodes:
@@ -283,6 +304,7 @@ def load_topology(source: str | Path | Mapping) -> PhysicalNetwork:
         where = f"nodes[{idx}]"
         if not isinstance(entry, Mapping):
             raise _doc_error(where, "expected a mapping")
+        reject_unknown_keys(entry, _TOPOLOGY_KEYS["node"], where)
         name = str(entry.get("name", idx))
         if name in by_name:
             raise _doc_error(where, f"duplicate name '{name}'")
@@ -323,6 +345,7 @@ def load_topology(source: str | Path | Mapping) -> PhysicalNetwork:
         where = f"links[{idx}]"
         if not isinstance(entry, Mapping):
             raise _doc_error(where, "expected a mapping")
+        reject_unknown_keys(entry, _TOPOLOGY_KEYS["link"], where)
         ends = entry.get("endpoints")
         if not isinstance(ends, list) or len(ends) != 2:
             raise _doc_error(where, "endpoints must be a 2-item list")

@@ -145,6 +145,46 @@ class TestObjectives:
             objective_value(state, out.embedding, req, "fastest", PARAMS)
 
 
+class TestCapacity:
+    def test_own_traffic_counts_each_pass_over_an_arc(self):
+        # The free VSNF may only sit on node 2 and the second one on ep1,
+        # so the chain runs 0->1->2, back 2->1->0, and 0->1->2 again:
+        # arcs 0->1 and 1->2 carry the flow twice.
+        net = path_net([10**9] * 3, bandwidth=1500, regions={"far": [2]})
+        req = request(0, [2], chain(vsnf(region="far"), vsnf(region="ep1"), beta=1000,
+                                    lam=0.4))
+        state = NetworkState.fresh(net)
+        assert exact_embed(state, req).status == "infeasible"
+        net = path_net([10**9] * 3, bandwidth=2000, regions={"far": [2]})
+        state = NetworkState.fresh(net)
+        out = exact_embed(state, req)
+        assert out.embedding.chains[0].segments == ((0, 1, 2), (2, 1, 0), (0, 1, 2))
+        assert validate_embedding(state, out.embedding, req, PARAMS) == []
+
+    def test_chains_share_link_bandwidth(self):
+        net = path_net([10**9] * 2, bandwidth=1500)
+        state = NetworkState.fresh(net)
+        one = chain(beta=1000, lam=0.4)
+        assert exact_embed(state, request(0, [1], one)).status == "optimal"
+        for objective in _OBJECTIVES:
+            out = exact_embed(state, request(0, [1], one, one), OracleConfig(objective=objective))
+            assert out.status == "infeasible"
+
+    def test_chains_share_node_cpu(self):
+        # Either VSNF fits on node 0 alone, both do not, so the second
+        # chain's goes to node 1 under every objective.
+        net = path_net([10_500_000, 10**9], delay=1e-5)
+        state = NetworkState.fresh(net)
+        up = chain(vsnf("a", 10.0, region="ep1"), beta=10**6, lam=0.4)
+        down = chain(vsnf("b", 1.0), direction=DOWN, beta=10**6, lam=0.4)
+        for objective in _OBJECTIVES:
+            out = exact_embed(state, request(0, [1], up, down),
+                              OracleConfig(objective=objective))
+            assert out.embedding.chains[1].vsnf_nodes == (1,)
+            assert validate_embedding(state, out.embedding, request(0, [1], up, down),
+                                      PARAMS) == []
+
+
 class TestStatus:
     def test_infeasible_tiny_latency(self):
         net = path_net([10**9] * 3, delay=0.3)

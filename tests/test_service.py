@@ -365,6 +365,28 @@ class TestRequestFromDoc:
             request_from_doc(doc)
         assert needle in str(err.value)
 
+    @pytest.mark.parametrize(
+        "doc,message",
+        [
+            ({"ep1": 0, "ep2": 1, "chain": [], "chains": [{"bandwidth": 1, "max_latency": 1}]},
+             "request: unknown key 'chain'"),
+            ({"ep1": 0, "ep2": 1, "chains": [{"bandwith": 5, "max_latency": 1}]},
+             "chains[0]: unknown key 'bandwith'"),
+            ({"ep1": 0, "ep2": 1, "chains": [
+                {"bandwidth": 1, "max_latency": 1},
+                {"vsnfs": ["snort", {"name": "dpi", "gamma": 12.0}], "bandwidth": 1,
+                 "max_latency": 1}]},
+             "chains[1].vsnfs[1]: unknown key 'gamma'"),
+            ({"vsnf_defs": {"dpi": {"gamma_u": 12.0, "statefull": True}}, "ep1": 0, "ep2": 1,
+              "chains": [{"vsnfs": ["dpi"], "bandwidth": 1, "max_latency": 1}]},
+             "vsnf_defs['dpi']: unknown key 'statefull'"),
+        ],
+    )
+    def test_unknown_keys_rejected(self, doc, message):
+        with pytest.raises(ServiceError) as err:
+            request_from_doc(doc)
+        assert str(err.value) == message
+
 
 def test_canonical_json_stable():
     req = request(0, [2, 1], chain(vsnf(), beta=5, lam=0.1))

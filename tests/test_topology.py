@@ -176,6 +176,26 @@ class TestLoadTopology:
             load_topology(doc)
         assert needle in str(err.value)
 
+    @pytest.mark.parametrize(
+        "doc,message",
+        [
+            ({"network": "campus", "nodes": [{"name": "a"}, {"name": "b"}],
+              "links": [{"endpoints": ["a", "b"], "delay": 0}]},
+             "topology: unknown key 'network'"),
+            ({"nodes": [{"name": "a"}, {"name": "b", "cpu": 5}],
+              "links": [{"endpoints": ["a", "b"], "delay": 0}]},
+             "nodes[1]: unknown key 'cpu'"),
+            # A misspelt bandwidth must not quietly give a 10 Gb/s link.
+            ({"nodes": [{"name": "a"}, {"name": "b"}],
+              "links": [{"endpoints": ["a", "b"], "bandwith": 5, "distance_km": 10}]},
+             "links[0]: unknown key 'bandwith'"),
+        ],
+    )
+    def test_unknown_keys_rejected(self, doc, message):
+        with pytest.raises(TopologyError) as err:
+            load_topology(doc)
+        assert str(err.value) == message
+
     def test_disconnected_rejected(self):
         doc = {
             "nodes": [{"name": n} for n in "abcd"],
