@@ -398,7 +398,7 @@ class _Search:
 
     def option_order(self, option: _ChainOption):
         if self.cfg.objective == ACTIVE_NODES:
-            return (float(len(option.hosts)), option.key)
+            return (len(option.hosts), option.key)
         return (self.contribution(option), option.key)
 
     def contribution(self, option: _ChainOption) -> float:
