@@ -40,6 +40,7 @@ from .state import (
     embedding_cost,
     processing_delay,
     recheck_operational,
+    segment_queuing_terms,
     validate_request_nodes,
 )
 from .topology import NodeId, PhysicalNetwork
@@ -118,7 +119,6 @@ class _PathInfo:
     delays: tuple[float, ...]  # propagation delay of each arc, in path order
     prop_delay: float
     inv_residual: float  # sum of 1/(residual+delta) over the arcs
-    mask: int  # bit ``arc`` set for every arc on the path
 
 
 @dataclass
@@ -126,10 +126,8 @@ class _ChainOption:
     key: tuple  # ChainEmbedding's fields in order: the tie-break key
     hosts: tuple[NodeId, ...]  # distinct VSNF hosts, zero demand included
     cpu_by_node: tuple[tuple[NodeId, int], ...]
-    peak_cpu: int  # largest demand on one node
     paths: tuple[_PathInfo, ...]
     beta: int
-    peak_bw: int  # at least the largest demand on one arc
     cost: float  # resource-cost contribution
     latency: float
 
@@ -166,7 +164,6 @@ class _Search:
         )
         self.ticks = 0
         self.paths: dict[tuple[NodeId, NodeId], list[_PathInfo]] = {}
-        self.tight: dict[int, int] = {}
         self.best_score = math.inf
         self.best_key: tuple | None = None
         self.best_emb: Embedding | None = None
@@ -188,7 +185,7 @@ class _Search:
         if cached is not None:
             return cached
         if a == b:
-            found = [_PathInfo((a,), (), (), 0.0, 0.0, 0)]
+            found = [_PathInfo((a,), (), (), 0.0, 0.0)]
         else:
             found = []
             trail: list[NodeId] = [a]
@@ -208,7 +205,6 @@ class _Search:
                             delays,
                             sum(delays),
                             inv,
-                            sum(1 << arc for arc in arcs),
                         )
                     )
                     return
@@ -292,18 +288,13 @@ class _Search:
         for node, demand in cpu.items():
             if demand > self.state.residual_gamma[node]:
                 return
-        # Queuing half-budgets each routed segment pays after its arcs, in
-        # chain_fixed_delay's order; a segment inside one host pays none.
         queuing = 0.0
         segment_queuing = []
         n_entities = len(entity_hosts)
         for idx in range(n_entities - 1):
-            terms = []
-            if entity_hosts[idx] != entity_hosts[idx + 1]:
-                if 0 < idx:
-                    terms.append(self.net.nodes[entity_hosts[idx]].queuing_budget / 2.0)
-                if idx + 1 < n_entities - 1:
-                    terms.append(self.net.nodes[entity_hosts[idx + 1]].queuing_budget / 2.0)
+            terms = segment_queuing_terms(
+                self.net, entity_hosts[idx], entity_hosts[idx + 1], idx, n_entities
+            )
             for term in terms:
                 queuing += term
             segment_queuing.append(terms)
@@ -320,22 +311,17 @@ class _Search:
 
         cpu_by_node = tuple(sorted(cpu.items()))
         distinct_hosts = tuple(node for node, _ in cpu_by_node)
-        peak_cpu = max(cpu.values(), default=0)
         beta = chain.beta_req
-        # A simple path crosses an arc at most once, so the chain's own
-        # traffic puts at most one beta per segment on an arc. Only arcs
-        # with less residual than that many betas can overflow.
-        tight = self.tight_arcs(len(segment_paths) * beta)
+        residual_beta = self.state.residual_beta
         chosen: list[_PathInfo] = []
 
         # The latency is summed on the way down: chain_fixed_delay's terms
         # (external, then per routed segment its arc delays one by one and
-        # its queuing halves), then chain_latency's processing terms in VSNF
-        # order. The same additions in the same order give chain_latency's
-        # value bit for bit; test_option_latency_matches_chain_latency pins it.
-        def descend(
-            seg_idx: int, prop_sum: float, fixed: float, bw_cost: float, used: int
-        ) -> None:
+        # its segment_queuing_terms), then chain_latency's processing terms
+        # in VSNF order. The same additions in the same order give
+        # chain_latency's value bit for bit;
+        # test_option_latency_matches_chain_latency pins it.
+        def descend(seg_idx: int, prop_sum: float, fixed: float, bw_cost: float) -> None:
             if seg_idx == len(segment_paths):
                 self.tick()
                 latency = fixed
@@ -343,22 +329,15 @@ class _Search:
                     latency += term
                 if latency > chain.lambda_max:
                     return
-                # An upper bound on the busiest arc's demand, exact when
-                # the option touches a tight arc.
-                peak_bw = beta * len(chosen)
-                if used & tight:
-                    peak_bw = _peak_arc_demand(chosen, beta, self.state.residual_beta)
-                    if peak_bw is None:
-                        return
+                if not _own_bandwidth_fits(chosen, beta, residual_beta):
+                    return
                 options.append(
                     _ChainOption(
                         key=(src, dst, hosts, tuple(info.nodes for info in chosen)),
                         hosts=distinct_hosts,
                         cpu_by_node=cpu_by_node,
-                        peak_cpu=peak_cpu,
                         paths=tuple(chosen),
                         beta=beta,
-                        peak_bw=peak_bw,
                         cost=bw_cost + cpu_cost,
                         latency=latency,
                     )
@@ -378,23 +357,10 @@ class _Search:
                     prop_sum + info.prop_delay,
                     delay,
                     bw_cost + info.inv_residual * beta,
-                    used | info.mask,
                 )
                 chosen.pop()
 
-        descend(0, 0.0, chain.pi_external, 0.0, 0)
-
-    def tight_arcs(self, demand: int) -> int:
-        """Mask of the arcs whose residual bandwidth is below ``demand``."""
-        mask = self.tight.get(demand)
-        if mask is None:
-            mask = sum(
-                1 << arc
-                for arc, residual in enumerate(self.state.residual_beta)
-                if residual < demand
-            )
-            self.tight[demand] = mask
-        return mask
+        descend(0, 0.0, chain.pi_external, 0.0)
 
     def option_order(self, option: _ChainOption):
         if self.cfg.objective == ACTIVE_NODES:
@@ -468,17 +434,6 @@ class _Search:
 
         def descend(idx: int, acc: float) -> None:
             last = idx == n_chains - 1
-            # The least headroom the chosen options leave on any node or arc
-            # they use. An option whose largest demand fits in it fits
-            # everywhere, as it was checked alone against the residuals.
-            cpu_room = min(
-                (residual_gamma[node] - used for node, used in cpu_used.items()),
-                default=math.inf,
-            )
-            bw_room = min(
-                (residual_beta[arc] - used for arc, used in bw_used.items()),
-                default=math.inf,
-            )
             for option in per_chain[idx]:
                 if active_nodes:
                     # The host union only grows, so its size after this
@@ -505,12 +460,12 @@ class _Search:
                         # Options are sorted by contribution, so everything
                         # after this one is dominated too.
                         break
-                if option.peak_cpu > cpu_room and any(
+                if any(
                     cpu_used.get(node, 0) + demand > residual_gamma[node]
                     for node, demand in option.cpu_by_node
                 ):
                     continue
-                if option.peak_bw > bw_room and any(
+                if any(
                     bw_used.get(arc, 0) + demand > residual_beta[arc]
                     for arc, demand in option.bw_by_arc
                 ):
@@ -559,19 +514,16 @@ class _Search:
             self.best_emb = emb
 
 
-def _peak_arc_demand(
+def _own_bandwidth_fits(
     chosen: list[_PathInfo], beta: int, residual_beta: list[int]
-) -> int | None:
-    """Largest bandwidth one chain's routed segments put on a single arc, or
-    None when that exceeds the arc's residual. An arc used by k segments
-    carries k * beta."""
+) -> bool:
+    """Whether one chain's routed segments fit the residual bandwidth on
+    their own. An arc used by k segments carries k * beta."""
     counts: dict[int, int] = {}
     for info in chosen:
         for arc in info.arcs:
             counts[arc] = counts.get(arc, 0) + 1
-    if any(count * beta > residual_beta[arc] for arc, count in counts.items()):
-        return None
-    return max(counts.values(), default=0) * beta
+    return all(count * beta <= residual_beta[arc] for arc, count in counts.items())
 
 
 def exact_embed(

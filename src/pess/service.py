@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
 
-from .topology import NodeId, PhysicalNetwork, reject_unknown_keys
+from .topology import NodeId, PhysicalNetwork, _reject_unknown_keys
 
 UP = "up"
 DOWN = "down"
@@ -365,14 +365,12 @@ def baseline_request(req: ServiceRequest) -> ServiceRequest:
 
 # The keys each level of a request document may carry; any other key is
 # rejected with its location rather than read as a default.
-_REQUEST_KEYS = {
-    "request": frozenset({"ep1", "ep2", "veto", "chains", "stateful_groups", "vsnf_defs"}),
-    "chain": frozenset(
-        {"direction", "vsnfs", "bandwidth", "max_latency", "packet_size", "external_latency"}
-    ),
-    "vsnf": frozenset({"name", "gamma_u", "stateful", "region"}),
-    "vsnf_def": frozenset({"gamma_u", "stateful", "region"}),
-}
+_REQUEST_KEYS = frozenset({"ep1", "ep2", "veto", "chains", "stateful_groups", "vsnf_defs"})
+_CHAIN_KEYS = frozenset(
+    {"direction", "vsnfs", "bandwidth", "max_latency", "packet_size", "external_latency"}
+)
+_VSNF_KEYS = frozenset({"name", "gamma_u", "stateful", "region"})
+_VSNF_DEF_KEYS = frozenset({"gamma_u", "stateful", "region"})
 
 
 def request_from_doc(doc: Mapping, catalog: VsnfCatalog | None = None) -> ServiceRequest:
@@ -386,7 +384,7 @@ def request_from_doc(doc: Mapping, catalog: VsnfCatalog | None = None) -> Servic
     """
     if not isinstance(doc, Mapping):
         raise ServiceError("request document must be a mapping")
-    reject_unknown_keys(doc, _REQUEST_KEYS["request"], "request", ServiceError)
+    _reject_unknown_keys(doc, _REQUEST_KEYS, "request", ServiceError)
     catalog = dict(catalog or builtin_catalog())
     for name, spec_doc in (doc.get("vsnf_defs") or {}).items():
         catalog[str(name)] = _vsnf_from_doc(str(name), spec_doc)
@@ -397,7 +395,7 @@ def request_from_doc(doc: Mapping, catalog: VsnfCatalog | None = None) -> Servic
                 raise ServiceError(f"{where}: unknown vsnf '{ref}'")
             return catalog[ref]
         if isinstance(ref, Mapping):
-            reject_unknown_keys(ref, _REQUEST_KEYS["vsnf"], where, ServiceError)
+            _reject_unknown_keys(ref, _VSNF_KEYS, where, ServiceError)
             name = ref.get("name")
             if not name:
                 raise ServiceError(f"{where}: inline vsnf needs a name")
@@ -431,7 +429,7 @@ def request_from_doc(doc: Mapping, catalog: VsnfCatalog | None = None) -> Servic
         where = f"chains[{idx}]"
         if not isinstance(entry, Mapping):
             raise ServiceError(f"{where}: expected a mapping")
-        reject_unknown_keys(entry, _REQUEST_KEYS["chain"], where, ServiceError)
+        _reject_unknown_keys(entry, _CHAIN_KEYS, where, ServiceError)
         vsnfs = tuple(
             lookup(ref, f"{where}.vsnfs[{pos}]")
             for pos, ref in enumerate(entry.get("vsnfs") or [])
@@ -478,7 +476,7 @@ def _vsnf_from_doc(name: str, doc) -> VsnfSpec:
     where = f"vsnf_defs['{name}']"
     if not isinstance(doc, Mapping) or "gamma_u" not in doc:
         raise ServiceError(f"{where} needs at least gamma_u")
-    reject_unknown_keys(doc, _REQUEST_KEYS["vsnf_def"], where, ServiceError)
+    _reject_unknown_keys(doc, _VSNF_DEF_KEYS, where, ServiceError)
     region = doc.get("region")
     return VsnfSpec(
         name,

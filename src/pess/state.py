@@ -152,21 +152,35 @@ def processing_delay(
     return gamma_u * sigma / ((residual_gamma_i - gamma_cu) + delta)
 
 
+def segment_queuing_terms(
+    net: PhysicalNetwork, a: NodeId, b: NodeId, idx: int, n_entities: int
+) -> tuple[float, ...]:
+    """Queuing half-budgets paid by the segment from entity ``idx`` on node
+    ``a`` to entity ``idx + 1`` on node ``b``, in the order they are added
+    after its arc delays.
+
+    Endpoints are entities 0 and ``n_entities - 1`` and do not pay
+    local-network queuing; a segment inside one host pays none.
+    """
+    if a == b:
+        return ()
+    terms = []
+    if 0 < idx:
+        terms.append(net.nodes[a].queuing_budget / 2.0)
+    if idx + 1 < n_entities - 1:
+        terms.append(net.nodes[b].queuing_budget / 2.0)
+    return tuple(terms)
+
+
 def chain_fixed_delay(cemb: ChainEmbedding, chain: Chain, net: PhysicalNetwork) -> float:
     """Load-independent latency: external term, propagation, queuing."""
     total = chain.pi_external
     n_entities = len(cemb.vsnf_nodes) + 2
     for idx, seg in enumerate(cemb.segments):
-        if len(seg) < 2:
-            continue
         for a, b in zip(seg, seg[1:]):
             total += net.arc_delay(net.arc(a, b))
-        # Entity idx sits at seg[0], entity idx+1 at seg[-1]; endpoints are
-        # entities 0 and n_entities-1 and do not pay local-network queuing.
-        if 0 < idx:
-            total += net.nodes[seg[0]].queuing_budget / 2.0
-        if idx + 1 < n_entities - 1:
-            total += net.nodes[seg[-1]].queuing_budget / 2.0
+        for term in segment_queuing_terms(net, seg[0], seg[-1], idx, n_entities):
+            total += term
     return total
 
 

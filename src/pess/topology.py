@@ -257,14 +257,12 @@ def _doc_error(location: str, message: str) -> TopologyError:
 
 # The keys each level of a topology document may carry. Anything else is
 # most likely a misspelling that would otherwise quietly yield a default.
-_TOPOLOGY_KEYS = {
-    "topology": frozenset({"nodes", "links", "regions"}),
-    "node": frozenset({"name", "capacity", "queuing_budget"}),
-    "link": frozenset({"endpoints", "bandwidth", "distance_km", "delay"}),
-}
+_TOPOLOGY_KEYS = frozenset({"nodes", "links", "regions"})
+_NODE_KEYS = frozenset({"name", "capacity", "queuing_budget"})
+_LINK_KEYS = frozenset({"endpoints", "bandwidth", "distance_km", "delay"})
 
 
-def reject_unknown_keys(
+def _reject_unknown_keys(
     entry: Mapping, allowed: frozenset[str], where: str, error: type[Exception] = TopologyError
 ) -> None:
     """Raise ``error`` naming ``where`` and the first key outside ``allowed``."""
@@ -293,7 +291,7 @@ def load_topology(source: str | Path | Mapping) -> PhysicalNetwork:
             doc = yaml.safe_load(source)
     if not isinstance(doc, Mapping):
         raise TopologyError("topology document must be a mapping")
-    reject_unknown_keys(doc, _TOPOLOGY_KEYS["topology"], "topology")
+    _reject_unknown_keys(doc, _TOPOLOGY_KEYS, "topology")
 
     raw_nodes = doc.get("nodes")
     if not isinstance(raw_nodes, list) or not raw_nodes:
@@ -304,7 +302,7 @@ def load_topology(source: str | Path | Mapping) -> PhysicalNetwork:
         where = f"nodes[{idx}]"
         if not isinstance(entry, Mapping):
             raise _doc_error(where, "expected a mapping")
-        reject_unknown_keys(entry, _TOPOLOGY_KEYS["node"], where)
+        _reject_unknown_keys(entry, _NODE_KEYS, where)
         name = str(entry.get("name", idx))
         if name in by_name:
             raise _doc_error(where, f"duplicate name '{name}'")
@@ -345,7 +343,7 @@ def load_topology(source: str | Path | Mapping) -> PhysicalNetwork:
         where = f"links[{idx}]"
         if not isinstance(entry, Mapping):
             raise _doc_error(where, "expected a mapping")
-        reject_unknown_keys(entry, _TOPOLOGY_KEYS["link"], where)
+        _reject_unknown_keys(entry, _LINK_KEYS, where)
         ends = entry.get("endpoints")
         if not isinstance(ends, list) or len(ends) != 2:
             raise _doc_error(where, "endpoints must be a 2-item list")

@@ -155,6 +155,9 @@ class TestCapacity:
                                     lam=0.4))
         state = NetworkState.fresh(net)
         assert exact_embed(state, req).status == "infeasible"
+        # The option is dropped as it is built, so the chain has none and
+        # the search ends before enumerating any further chain.
+        assert _Search(state, req, OracleConfig(), PARAMS, False).chain_options(0, {}) == []
         net = path_net([10**9] * 3, bandwidth=2000, regions={"far": [2]})
         state = NetworkState.fresh(net)
         out = exact_embed(state, req)
