@@ -5,6 +5,7 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from helpers import build_net, chain, path_net, request, vsnf
+from pess import heuristic
 from pess.heuristic import (
     REASON_INFEASIBLE,
     REASON_NO_ROUTE,
@@ -513,3 +514,68 @@ def test_decisions_pinned():
                 seen[out.reason] = seen.get(out.reason, 0) + 1
     assert seen[None] > 500 and seen[REASON_INFEASIBLE] > 100
     assert digest.hexdigest() == DECISION_DIGEST
+
+
+# SHA-256 over every outcome of test_detour_decisions_pinned, violations
+# included.
+DETOUR_DIGEST = "360462dc64ada3ee8fcf1cdfadf6c451f4ad84dd99d88dea3987fc1f396714db"
+
+
+def _detour_requests(net, rng, count):
+    """Requests with no region pin, the kind whose detours are ranked by a
+    bound: vetoed nodes, 1-3 remote endpoints, up-only, down-only, mixed and
+    VSNF-free chains."""
+    catalog = sorted(builtin_catalog().values(), key=lambda spec: spec.name)
+    for _ in range(count):
+        ep1 = rng.randrange(net.n_nodes)
+        ep2 = rng.sample(range(net.n_nodes), rng.randint(1, 3))
+        veto = rng.sample(range(net.n_nodes), rng.choice((0, 5, 40, 297)))
+        directions = rng.choice(((UP,), (DOWN,), (UP, UP), (DOWN, DOWN), (UP, DOWN)))
+        chains = [
+            chain(*rng.sample(catalog, rng.randint(0, 3)), direction=direction,
+                  beta=rng.choice((10**6, 2 * 10**7, 10**8, 10**9)),
+                  lam=rng.choice((1.5e-3, 0.1)))
+            for direction in directions
+        ]
+        yield request(ep1, ep2, *chains, groups=infer_stateful_groups(chains), veto=veto)
+
+
+def test_detour_decisions_pinned(monkeypatch):
+    """Every pess_embed outcome of unpinned requests on a loaded BA(300,2),
+    under both scan orders and both detour anchorings."""
+    trees = []
+
+    class CountingTree(_Tree):
+        def __init__(self, *args):
+            super().__init__(*args)
+            trees.append(self)
+
+    monkeypatch.setattr(heuristic, "_Tree", CountingTree)
+    net = generate_barabasi_albert(300, 2, seed=9)
+    stream = generate_stream(net, WorkloadConfig(900, 900, 0), 5)
+    state = NetworkState.fresh(net)
+    for _ in replay(state, stream, lambda idx, arrival: pess_embed(state, arrival.request, PARAMS)):
+        pass
+    digest = hashlib.sha256()
+    expansions = detours = 0
+    for req in _detour_requests(net, random.Random(17), 150):
+        for descending in (False, True):
+            for expand_all in (False, True):
+                trees.clear()
+                out = pess_embed(state, req, PARAMS, register=False,
+                                 scan_descending=descending, expand_all_ep2=expand_all)
+                digest.update(repr((out.embedding.to_dict() if out.accepted else None,
+                                    repr(out.cost), out.chain_latencies, out.reason,
+                                    out.violation)).encode())
+                expansions += len(trees) > 1
+                if out.accepted:
+                    initial = CountingTree(net, state.residual_beta, req.ep1,
+                                           req.total_bandwidth(), PARAMS.delta)
+                    initial.grow(req.ep2_set)
+                    on_initial = {node for t in req.ep2_set if initial.done[t]
+                                  for node in initial.path_to(t)[0]}
+                    hosts = {node for cemb in out.embedding.chains
+                             for segment in cemb.segments for node in segment}
+                    detours += not hosts <= on_initial
+    assert expansions > 300 and detours > 80
+    assert digest.hexdigest() == DETOUR_DIGEST
