@@ -6,14 +6,23 @@ are the initial candidates. A detour round follows when some node beyond
 those paths has residual CPU that strictly beats everything they touch: the
 user-side tree is grown on toward those nodes, and one tree is grown from
 the detour anchor (the remote end of the best feasible initial path, or
-every reachable remote endpoint) toward them. Every candidate path is ranked
-by its cost alone; full embeddings are built and checked lazily in scan
-order, and the first one that does not break any running chain wins.
+every reachable remote endpoint) toward them. Each such node ``via`` gives
+one detour: the user tree's path to it, then the anchor tree's path back.
+
+Candidates are scanned best-first, in ``(cost, len(path), path)`` order,
+from one heap; the first that places, passes its checks and breaks no
+running chain wins. Initial paths enter it priced exactly. When no VSNF of
+the request is region-pinned, a detour enters it with a lower bound of its
+cost from per-tree prefix sums (``detour_bounds``), and is walked out of
+the trees and priced only when that bound pops; the scan order, and so the
+decision, is the one a full sort of every priced path would give. Requests
+with a pinned VSNF, and descending scans, price every detour up front.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -32,6 +41,9 @@ from .topology import NodeId, PhysicalNetwork
 
 REASON_NO_ROUTE = "no-route"
 REASON_INFEASIBLE = "infeasible"
+
+# Relative amount taken off a detour's cost bound, far above float rounding.
+BOUND_SLACK = 1e-9
 
 # VSNF hosts per chain, and the cost of the candidate they make.
 Placement = tuple[tuple[tuple[NodeId, ...], ...], float]
@@ -94,6 +106,7 @@ class _Tree:
         self.done = [False] * net.n_nodes
         self.dist[source] = 0.0
         self.heap: list[tuple[float, NodeId]] = [(0.0, source)]
+        self.memo: dict[NodeId, tuple[float, float, NodeId | None]] | None = None
 
     def grow(self, targets) -> None:
         """Settle nodes until every target is settled or none is left reachable."""
@@ -131,6 +144,46 @@ class _Tree:
         arcs.reverse()
         return tuple(nodes), arcs
 
+    def prefixes(
+        self, targets, residual_gamma: list[int], veto: frozenset[NodeId]
+    ) -> dict[NodeId, tuple[float, float, NodeId | None]]:
+        """Along the tree path to each settled target: the sums of
+        ``1 / (residual + delta)`` over its arcs and over their reverse arcs,
+        and its hotspot (see ``price_path``). Kept for every node on those
+        paths, each worked out once from its parent's, so every call must
+        pass the same residuals and veto set."""
+        memo = self.memo
+        if memo is None:
+            source = self.source
+            memo = self.memo = {source: (0.0, 0.0, None if source in veto else source)}
+        parent, parent_arc = self.parent, self.parent_arc
+        residual_beta, delta = self.residual_beta, self.delta
+        for target in targets:
+            pending = []
+            node = target
+            while node not in memo:
+                pending.append(node)
+                node = parent[node]
+            forward, backward, hotspot = memo[node]
+            for node in reversed(pending):
+                arc = parent_arc[node]
+                forward += 1.0 / (residual_beta[arc] + delta)
+                backward += 1.0 / (residual_beta[arc ^ 1] + delta)
+                if node not in veto and _hotter(node, hotspot, residual_gamma):
+                    hotspot = node
+                memo[node] = (forward, backward, hotspot)
+        return memo
+
+
+def _hotter(node: NodeId, than: NodeId | None, residual_gamma: list[int]) -> bool:
+    """Whether ``node`` beats ``than`` as hotspot: more residual CPU, ties to
+    the lower id; anything beats ``None``."""
+    return (
+        than is None
+        or residual_gamma[node] > residual_gamma[than]
+        or (residual_gamma[node] == residual_gamma[than] and node < than)
+    )
+
 
 def price_path(
     state: NetworkState,
@@ -154,11 +207,7 @@ def price_path(
     position = {node: idx for idx, node in enumerate(path)}
     hotspot: NodeId | None = None
     for node in path:
-        if node not in req.veto and (
-            hotspot is None
-            or residual_gamma[node] > residual_gamma[hotspot]
-            or (residual_gamma[node] == residual_gamma[hotspot] and node < hotspot)
-        ):
+        if node not in req.veto and _hotter(node, hotspot, residual_gamma):
             hotspot = node
 
     hosts_by_chain = []
@@ -203,6 +252,52 @@ def price_path(
         for node, spec in zip(hosts, chain.vsnfs):
             cost += alpha * cpu_demand(spec.gamma_u, beta) / (residual_gamma[node] + delta)
     return (tuple(hosts_by_chain), cost), None
+
+
+def detour_bounds(
+    state: NetworkState,
+    req: ServiceRequest,
+    params: CostParams,
+    user: _Tree,
+    remote: _Tree,
+    vias: list[NodeId],
+) -> list[float]:
+    """Lower bounds of ``price_path``'s cost for the detour through each via:
+    ``user``'s tree path to ``via`` followed by ``remote``'s, reversed.
+
+    Only for requests with no region-pinned VSNF. ``price_path`` then puts
+    every VSNF on the path's hotspot, so each up chain crosses every arc of
+    the path forward once and each down chain backward once. The cost is
+    then, in exact arithmetic, the up chains' bandwidth times the forward
+    inverse-residual sums (user tree arcs, reversed remote tree arcs), plus
+    the down chains' times the backward sums, plus ``alpha`` times the
+    request's CPU demand over the hotspot's residual CPU plus ``delta``; the
+    sums and the hotspot come from both trees' paths to ``via``. Both sides
+    add up the same few tens of non-negative terms, each operation rounding
+    by at most a relative 2**-53, so they differ by a relative 1e-14 or so.
+    Taking off ``BOUND_SLACK`` keeps each bound at or below the exact sum.
+    A detour whose path is not simple, or whose nodes are all vetoed, gets a
+    bound all the same; the scan drops it when it walks it.
+    """
+    residual_gamma, veto, delta = state.residual_gamma, req.veto, params.delta
+    up_beta = sum(chain.beta_req for chain in req.chains if chain.direction == UP)
+    down_beta = req.total_bandwidth() - up_beta
+    cpu_weight = params.alpha * sum(
+        cpu_demand(spec.gamma_u, chain.beta_req) for chain in req.chains for spec in chain.vsnfs
+    )
+    at_user = user.prefixes(vias, residual_gamma, veto)
+    at_remote = remote.prefixes(vias, residual_gamma, veto)
+    bounds = []
+    for via in vias:
+        user_fwd, user_bwd, hotspot = at_user[via]
+        remote_fwd, remote_bwd, remote_hot = at_remote[via]
+        if remote_hot is not None and _hotter(remote_hot, hotspot, residual_gamma):
+            hotspot = remote_hot
+        bound = up_beta * (user_fwd + remote_bwd) + down_beta * (user_bwd + remote_fwd)
+        if cpu_weight and hotspot is not None:
+            bound += cpu_weight / (residual_gamma[hotspot] + delta)
+        bounds.append(bound * (1.0 - BOUND_SLACK))
+    return bounds
 
 
 def check_placement(
@@ -283,6 +378,15 @@ def pess_embed(
 ) -> EmbedOutcome:
     """Try to embed one service request on the current network state.
 
+    Candidate paths are scanned in ``(cost, len(path), path)`` order, the
+    order a full sort of every priced path gives, and the first one that
+    places, passes its checks and breaks no running chain is taken. Initial
+    paths are priced exactly. A detour of a request with no region-pinned
+    VSNF (``ep1`` pins included) enters the scan with a lower bound of its
+    cost, and is walked out of the trees and priced only when the scan
+    reaches that bound. Requests with a pinned VSNF, and ``scan_descending``
+    runs, price every detour up front.
+
     ``register=False`` evaluates without committing. ``scan_descending``
     flips the acceptance scan to try expensive candidates first (kept for
     comparison runs). ``expand_all_ep2`` anchors detour paths at every
@@ -299,9 +403,12 @@ def pess_embed(
     if not reached:
         return EmbedOutcome(None, reason=REASON_NO_ROUTE)
 
-    # Rank every path by (cost, length, path); only paths walked in scan
-    # order are built and checked, each at most once.
-    ranked: list[tuple[float, int, tuple[NodeId, ...]]] = []
+    # Scan heap: priced paths as (cost, 1, len(path), path, seq) and detour
+    # bounds as (bound, 0, seq, remote tree, via). At equal value a bound
+    # pops first; seq keeps trees out of the comparison. Each path is built
+    # and checked at most once.
+    heap: list[tuple] = []
+    seq = itertools.count()
     checked: dict[tuple[NodeId, ...], tuple[CandidateSolution | None, str | None]] = {}
     unplaced: str | None = None
 
@@ -311,7 +418,14 @@ def pess_embed(
         if placement is None:
             unplaced = unplaced or code
         else:
-            ranked.append((placement[1], len(path), path))
+            heapq.heappush(heap, (placement[1], 1, len(path), path, next(seq)))
+
+    def detour(remote: _Tree, via: NodeId) -> None:
+        head, head_arcs = user.path_to(via)
+        tail, tail_arcs = remote.path_to(via)
+        joined = head + tail[-2::-1]
+        if len(set(joined)) == len(joined):
+            rank(joined, head_arcs + [arc ^ 1 for arc in reversed(tail_arcs)])
 
     def check(path: tuple[NodeId, ...]) -> tuple[CandidateSolution | None, str | None]:
         if path not in checked:
@@ -323,7 +437,6 @@ def pess_embed(
         path, arcs = user.path_to(target)
         path_nodes.update(path)
         rank(path, arcs)
-    n_initial = len(ranked)
 
     # Detour round: look for spare CPU beyond whatever the initial paths saw.
     max_seen = max(state.residual_gamma[node] for node in path_nodes)
@@ -342,27 +455,44 @@ def pess_embed(
             # places; failing that, at the remote endpoint whose path was
             # cheapest, so the expansion can still rescue the request.
             anchors = [min(reached, key=lambda t: (user.dist[t], t))]
-            for _, _, path in sorted(ranked[:n_initial]):
-                if check(path)[0] is not None:
-                    anchors = [path[-1]]
+            for entry in sorted(heap):
+                if check(entry[3])[0] is not None:
+                    anchors = [entry[3][-1]]
                     break
         user.grow(expansion)
+        bounded = not scan_descending and all(
+            spec.region is None for chain in req.chains for spec in chain.vsnfs
+        )
         for anchor in anchors:
             remote = _Tree(net, state.residual_beta, anchor, beta_bar, params.delta)
             remote.grow(expansion)
-            for via in sorted(expansion):
-                if math.isinf(user.dist[via]) or math.isinf(remote.dist[via]):
-                    continue
-                head, head_arcs = user.path_to(via)
-                tail, tail_arcs = remote.path_to(via)
-                joined = head + tail[-2::-1]
-                if len(set(joined)) != len(joined):
-                    continue
-                rank(joined, head_arcs + [arc ^ 1 for arc in reversed(tail_arcs)])
+            vias = [
+                via
+                for via in sorted(expansion)
+                if not math.isinf(user.dist[via]) and not math.isinf(remote.dist[via])
+            ]
+            if bounded:
+                for via, bound in zip(vias, detour_bounds(state, req, params, user, remote, vias)):
+                    heapq.heappush(heap, (bound, 0, next(seq), remote, via))
+            else:
+                for via in vias:
+                    detour(remote, via)
 
-    ranked.sort(reverse=scan_descending)
-    violation = None if ranked else unplaced
-    for _, _, path in ranked:
+    def scan():
+        """Candidate paths in scan order; a popped bound is replaced by its
+        priced detour, which pops once nothing cheaper is left."""
+        if scan_descending:
+            yield from (entry[3] for entry in sorted(heap, reverse=True))
+            return
+        while heap:
+            entry = heapq.heappop(heap)
+            if entry[1]:
+                yield entry[3]
+            else:
+                detour(entry[3], entry[4])
+
+    violation = None
+    for path in scan():
         candidate, code = check(path)
         if candidate is None:
             violation = violation or code
@@ -378,4 +508,5 @@ def pess_embed(
                 service_id=service_id,
             )
         violation = violation or "op-latency"
-    return EmbedOutcome(None, reason=REASON_INFEASIBLE, violation=violation)
+    # No path ranked at all: name what stopped the first one from placing.
+    return EmbedOutcome(None, reason=REASON_INFEASIBLE, violation=violation or unplaced)

@@ -1,4 +1,6 @@
+import functools
 import hashlib
+import math
 import random
 
 import pytest
@@ -10,6 +12,7 @@ from pess.heuristic import (
     REASON_INFEASIBLE,
     REASON_NO_ROUTE,
     _Tree,
+    detour_bounds,
     pess_embed,
     place_on_path,
     price_path,
@@ -245,6 +248,74 @@ class TestTree:
             assert grown.dist[target] == fresh.dist[target]
             if fresh.dist[target] != float("inf"):
                 assert grown.path_to(target) == fresh.path_to(target)
+
+
+@st.composite
+def detour_instances(draw):
+    """A small BA graph with random residuals (CPU from a few values, so
+    hotspots tie) and a request with no region pin: vetoes, 1-3 remote
+    endpoints, chains of either direction with 0-3 VSNFs."""
+    n = draw(st.integers(4, 25))
+    net = generate_barabasi_albert(n, 2, seed=draw(st.integers(0, 99)))
+    state = NetworkState.fresh(net)
+    state.residual_gamma = draw(st.lists(st.sampled_from([0, 10**9, 5 * 10**9, 3 * 10**10]),
+                                         min_size=n, max_size=n))
+    state.residual_beta = draw(st.lists(st.sampled_from([0, 10**7, 3 * 10**8, 10**9, 10**10]),
+                                        min_size=net.n_arcs, max_size=net.n_arcs))
+    specs = [vsnf("snort", 9.5), vsnf("openvpn", 31.0), vsnf("vsrx-fw", 2.3)]
+    chains = [
+        chain(*draw(st.lists(st.sampled_from(specs), max_size=3)),
+              direction=draw(st.sampled_from([UP, DOWN])), beta=draw(st.integers(1, 10**6)))
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    req = request(draw(st.integers(0, n - 1)),
+                  draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=3)), *chains,
+                  veto=draw(st.sets(st.integers(0, n - 1), max_size=n)))
+    params = CostParams(alpha=draw(st.sampled_from([0.0, 1.0, 2.5])),
+                        delta=draw(st.sampled_from([1e-6, 0.5])))
+    return state, req, params
+
+
+class TestDetourBound:
+    @settings(max_examples=300, deadline=None)
+    @given(detour_instances())
+    def test_bound_is_below_and_close_to_exact_cost(self, instance):
+        # Every simple detour through every node, from every reachable remote
+        # endpoint; the closeness check rejects a sound but useless bound.
+        state, req, params = instance
+        nodes = range(state.net.n_nodes)
+        directions = {c.direction for c in req.chains}
+        event(f"chains: {'/'.join(sorted(directions))}, "
+              f"{'with' if any(c.vsnfs for c in req.chains) else 'no'} VSNFs")
+        event(f"remote endpoints: {len(req.ep2_set)}")
+        user = _Tree(state.net, state.residual_beta, req.ep1, req.total_bandwidth(), params.delta)
+        user.grow(nodes)
+        for anchor in sorted(req.ep2_set):
+            if math.isinf(user.dist[anchor]):
+                continue
+            remote = _Tree(state.net, state.residual_beta, anchor, req.total_bandwidth(),
+                           params.delta)
+            remote.grow(nodes)
+            vias = [v for v in nodes if not math.isinf(user.dist[v] + remote.dist[v])]
+            for via, bound in zip(vias, detour_bounds(state, req, params, user, remote, vias)):
+                head, head_arcs = user.path_to(via)
+                tail, tail_arcs = remote.path_to(via)
+                path = head + tail[-2::-1]
+                if len(set(path)) != len(path):
+                    continue
+                arcs = head_arcs + [arc ^ 1 for arc in reversed(tail_arcs)]
+                placement, code = price_path(state, path, arcs, req, params)
+                if placement is None:
+                    event(f"detour unplaced: {code}")
+                    continue
+                hosts = [node for node in path if node not in req.veto]
+                if len(hosts) < len(path):
+                    event("detour with vetoed nodes")
+                if len(hosts) > len({state.residual_gamma[node] for node in hosts}):
+                    event("detour with tied residual CPU")
+                cost = placement[1]
+                assert bound <= cost
+                assert cost - bound <= 1e-6 * cost
 
 
 class TestPessEmbed:
@@ -540,9 +611,21 @@ def _detour_requests(net, rng, count):
         yield request(ep1, ep2, *chains, groups=infer_stateful_groups(chains), veto=veto)
 
 
+@functools.cache
+def _loaded_ba300():
+    """BA(300,2) loaded by a churn of 900 arrivals; tests only read it."""
+    net = generate_barabasi_albert(300, 2, seed=9)
+    stream = generate_stream(net, WorkloadConfig(900, 900, 0), 5)
+    state = NetworkState.fresh(net)
+    for _ in replay(state, stream, lambda idx, arrival: pess_embed(state, arrival.request, PARAMS)):
+        pass
+    return net, state
+
+
 def test_detour_decisions_pinned(monkeypatch):
     """Every pess_embed outcome of unpinned requests on a loaded BA(300,2),
     under both scan orders and both detour anchorings."""
+    net, state = _loaded_ba300()
     trees = []
 
     class CountingTree(_Tree):
@@ -551,11 +634,6 @@ def test_detour_decisions_pinned(monkeypatch):
             trees.append(self)
 
     monkeypatch.setattr(heuristic, "_Tree", CountingTree)
-    net = generate_barabasi_albert(300, 2, seed=9)
-    stream = generate_stream(net, WorkloadConfig(900, 900, 0), 5)
-    state = NetworkState.fresh(net)
-    for _ in replay(state, stream, lambda idx, arrival: pess_embed(state, arrival.request, PARAMS)):
-        pass
     digest = hashlib.sha256()
     expansions = detours = 0
     for req in _detour_requests(net, random.Random(17), 150):
@@ -569,8 +647,8 @@ def test_detour_decisions_pinned(monkeypatch):
                                     out.violation)).encode())
                 expansions += len(trees) > 1
                 if out.accepted:
-                    initial = CountingTree(net, state.residual_beta, req.ep1,
-                                           req.total_bandwidth(), PARAMS.delta)
+                    initial = _Tree(net, state.residual_beta, req.ep1,
+                                    req.total_bandwidth(), PARAMS.delta)
                     initial.grow(req.ep2_set)
                     on_initial = {node for t in req.ep2_set if initial.done[t]
                                   for node in initial.path_to(t)[0]}
@@ -579,3 +657,34 @@ def test_detour_decisions_pinned(monkeypatch):
                     detours += not hosts <= on_initial
     assert expansions > 300 and detours > 80
     assert digest.hexdigest() == DETOUR_DIGEST
+
+
+def test_detours_priced_only_when_reached(monkeypatch):
+    # An accepted request prices about one initial path per remote endpoint
+    # and the few detours whose bounds the scan reaches; pricing every
+    # detour would keep every decision but cost one price_path per bound.
+    net, state = _loaded_ba300()
+    priced = bounded = 0
+
+    def counting_price_path(*args):
+        nonlocal priced
+        priced += 1
+        return price_path(*args)
+
+    def counting_detour_bounds(*args):
+        nonlocal bounded
+        bounds = detour_bounds(*args)
+        bounded += len(bounds)
+        return bounds
+
+    monkeypatch.setattr(heuristic, "price_path", counting_price_path)
+    monkeypatch.setattr(heuristic, "detour_bounds", counting_detour_bounds)
+    accepted = 0
+    for req in _detour_requests(net, random.Random(17), 150):
+        before = priced, bounded
+        if pess_embed(state, req, PARAMS, register=False).accepted:
+            accepted += 1
+        else:
+            priced, bounded = before
+    assert accepted > 100 and bounded > 20 * accepted
+    assert priced < 5 * accepted
