@@ -11,12 +11,12 @@ one detour: the user tree's path to it, then the anchor tree's path back.
 
 Candidates are scanned best-first, in ``(cost, len(path), path)`` order,
 from one heap; the first that places, passes its checks and breaks no
-running chain wins. Initial paths enter it priced exactly. When no VSNF of
-the request is region-pinned, a detour enters it with a lower bound of its
-cost from per-tree prefix sums (``detour_bounds``), and is walked out of
-the trees and priced only when that bound pops; the scan order, and so the
-decision, is the one a full sort of every priced path would give. Requests
-with a pinned VSNF, and descending scans, price every detour up front.
+running chain wins. Initial paths enter it priced exactly. A detour enters
+it with a lower bound of its cost from per-tree prefix sums
+(``detour_bounds``), and is walked out of the trees and priced only when
+that bound pops; the scan order, and so the decision, is the one a full
+sort of every priced path would give. Descending scans price every detour
+up front.
 """
 
 from __future__ import annotations
@@ -106,7 +106,6 @@ class _Tree:
         self.done = [False] * net.n_nodes
         self.dist[source] = 0.0
         self.heap: list[tuple[float, NodeId]] = [(0.0, source)]
-        self.memo: dict[NodeId, tuple[float, float, NodeId | None]] | None = None
 
     def grow(self, targets) -> None:
         """Settle nodes until every target is settled or none is left reachable."""
@@ -149,30 +148,27 @@ class _Tree:
     ) -> dict[NodeId, tuple[float, float, NodeId | None]]:
         """Along the tree path to each settled target: the sums of
         ``1 / (residual + delta)`` over its arcs and over their reverse arcs,
-        and its hotspot (see ``price_path``). Kept for every node on those
-        paths, each worked out once from its parent's, so every call must
-        pass the same residuals and veto set."""
-        memo = self.memo
-        if memo is None:
-            source = self.source
-            memo = self.memo = {source: (0.0, 0.0, None if source in veto else source)}
+        and its hotspot (see ``price_path``). Returned for every node on
+        those paths, each worked out once from its parent's."""
+        source = self.source
+        sums = {source: (0.0, 0.0, None if source in veto else source)}
         parent, parent_arc = self.parent, self.parent_arc
         residual_beta, delta = self.residual_beta, self.delta
         for target in targets:
             pending = []
             node = target
-            while node not in memo:
+            while node not in sums:
                 pending.append(node)
                 node = parent[node]
-            forward, backward, hotspot = memo[node]
+            forward, backward, hotspot = sums[node]
             for node in reversed(pending):
                 arc = parent_arc[node]
                 forward += 1.0 / (residual_beta[arc] + delta)
                 backward += 1.0 / (residual_beta[arc ^ 1] + delta)
                 if node not in veto and _hotter(node, hotspot, residual_gamma):
                     hotspot = node
-                memo[node] = (forward, backward, hotspot)
-        return memo
+                sums[node] = (forward, backward, hotspot)
+        return sums
 
 
 def _hotter(node: NodeId, than: NodeId | None, residual_gamma: list[int]) -> bool:
@@ -265,16 +261,20 @@ def detour_bounds(
     """Lower bounds of ``price_path``'s cost for the detour through each via:
     ``user``'s tree path to ``via`` followed by ``remote``'s, reversed.
 
-    Only for requests with no region-pinned VSNF. ``price_path`` then puts
-    every VSNF on the path's hotspot, so each up chain crosses every arc of
-    the path forward once and each down chain backward once. The cost is
-    then, in exact arithmetic, the up chains' bandwidth times the forward
-    inverse-residual sums (user tree arcs, reversed remote tree arcs), plus
-    the down chains' times the backward sums, plus ``alpha`` times the
-    request's CPU demand over the hotspot's residual CPU plus ``delta``; the
-    sums and the hotspot come from both trees' paths to ``via``. Both sides
-    add up the same few tens of non-negative terms, each operation rounding
-    by at most a relative 2**-53, so they differ by a relative 1e-14 or so.
+    The bound is the up chains' bandwidth times the forward inverse-residual
+    sums (user tree arcs, reversed remote tree arcs), plus the down chains'
+    times the backward sums, plus ``alpha`` times the request's CPU demand
+    over the hotspot's residual CPU plus ``delta``; the sums and the hotspot
+    come from both trees' paths to ``via``. When no VSNF is region-pinned,
+    ``price_path`` puts every VSNF on the hotspot, so each up chain crosses
+    every arc of the path forward once and each down chain backward once,
+    and the bound is the cost in exact arithmetic. A pinned VSNF only adds
+    to the cost: it sits on a path end, and an up chain's route still runs
+    from the first path node to the last, so it crosses every arc forward at
+    least once (a down chain backward); that end is either vetoed, and the
+    path refused, or has at most the hotspot's residual CPU. Both sides add
+    up a few tens of non-negative terms, each operation rounding by at most
+    a relative 2**-53, so rounding moves them by a relative 1e-14 or so.
     Taking off ``BOUND_SLACK`` keeps each bound at or below the exact sum.
     A detour whose path is not simple, or whose nodes are all vetoed, gets a
     bound all the same; the scan drops it when it walks it.
@@ -381,11 +381,10 @@ def pess_embed(
     Candidate paths are scanned in ``(cost, len(path), path)`` order, the
     order a full sort of every priced path gives, and the first one that
     places, passes its checks and breaks no running chain is taken. Initial
-    paths are priced exactly. A detour of a request with no region-pinned
-    VSNF (``ep1`` pins included) enters the scan with a lower bound of its
-    cost, and is walked out of the trees and priced only when the scan
-    reaches that bound. Requests with a pinned VSNF, and ``scan_descending``
-    runs, price every detour up front.
+    paths are priced exactly. A detour enters the scan with a lower bound of
+    its cost, and is walked out of the trees and priced only when the scan
+    reaches that bound; ``scan_descending`` runs price every detour up
+    front.
 
     ``register=False`` evaluates without committing. ``scan_descending``
     flips the acceptance scan to try expensive candidates first (kept for
@@ -460,9 +459,6 @@ def pess_embed(
                     anchors = [entry[3][-1]]
                     break
         user.grow(expansion)
-        bounded = not scan_descending and all(
-            spec.region is None for chain in req.chains for spec in chain.vsnfs
-        )
         for anchor in anchors:
             remote = _Tree(net, state.residual_beta, anchor, beta_bar, params.delta)
             remote.grow(expansion)
@@ -471,7 +467,7 @@ def pess_embed(
                 for via in sorted(expansion)
                 if not math.isinf(user.dist[via]) and not math.isinf(remote.dist[via])
             ]
-            if bounded:
+            if not scan_descending:
                 for via, bound in zip(vias, detour_bounds(state, req, params, user, remote, vias)):
                     heapq.heappush(heap, (bound, 0, next(seq), remote, via))
             else:
