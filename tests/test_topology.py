@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -70,6 +71,21 @@ class TestBarabasiAlbert:
         for link in net.links:
             assert lo <= link.lambda_prop <= hi
             assert link.beta_nominal == DEFAULT_LINK_BANDWIDTH
+
+    @pytest.mark.parametrize(
+        "n,digest",
+        [
+            (20, "62273e366f93b4c3ed0b067bb37819a47cae4746e0d7aa55a805d3b1e01e2766"),
+            (200, "432b8f564be77f6b85aabe7afa043b41eb9cf6571b768f243911dd75a3068b5c"),
+            (1000, "9365a5fc8e89c0408d1bd85ef19ab3f6f8f98d04e7125babbf69e772ce184ad2"),
+        ],
+    )
+    def test_links_pinned(self, n, digest):
+        # Pins every link's endpoints and delay of BA(n, 2, seed=0), so any
+        # change to the attachment draws or the distance draws shows here.
+        net = generate_barabasi_albert(n, 2, seed=0)
+        links = repr([(link.endpoints, link.lambda_prop) for link in net.links])
+        assert hashlib.sha256(links.encode()).hexdigest() == digest
 
     def test_bad_parameters(self):
         with pytest.raises(TopologyError):
