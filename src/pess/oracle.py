@@ -43,7 +43,7 @@ from .state import (
     segment_queuing_terms,
     validate_request_nodes,
 )
-from .topology import NodeId, PhysicalNetwork
+from .topology import NodeId
 
 RESOURCE_COST = "resource-cost"
 ACTIVE_NODES = "active-nodes"

@@ -11,10 +11,10 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass, field
+from typing import Mapping, Sequence
 
-from .topology import NodeId, PhysicalNetwork, _reject_unknown_keys
+from .topology import NodeId, PhysicalNetwork, _number, _reject_unknown_keys
 
 UP = "up"
 DOWN = "down"
@@ -366,9 +366,9 @@ def baseline_request(req: ServiceRequest) -> ServiceRequest:
 # The keys each level of a request document may carry; any other key is
 # rejected with its location rather than read as a default.
 _REQUEST_KEYS = frozenset({"ep1", "ep2", "veto", "chains", "stateful_groups", "vsnf_defs"})
-_CHAIN_KEYS = frozenset(
-    {"direction", "vsnfs", "bandwidth", "max_latency", "packet_size", "external_latency"}
-)
+_CHAIN_NUMBERS = {"bandwidth": 0, "max_latency": 0.0, "packet_size": 8000.0,
+                  "external_latency": 0.0}
+_CHAIN_KEYS = frozenset({"direction", "vsnfs", *_CHAIN_NUMBERS})
 _VSNF_KEYS = frozenset({"name", "gamma_u", "stateful", "region"})
 _VSNF_DEF_KEYS = frozenset({"gamma_u", "stateful", "region"})
 
@@ -387,7 +387,9 @@ def request_from_doc(doc: Mapping, catalog: VsnfCatalog | None = None) -> Servic
     _reject_unknown_keys(doc, _REQUEST_KEYS, "request", ServiceError)
     catalog = dict(catalog or builtin_catalog())
     for name, spec_doc in (doc.get("vsnf_defs") or {}).items():
-        catalog[str(name)] = _vsnf_from_doc(str(name), spec_doc)
+        catalog[str(name)] = _vsnf_from_doc(
+            str(name), spec_doc, f"vsnf_defs['{name}']", _VSNF_DEF_KEYS
+        )
 
     def lookup(ref, where: str) -> VsnfSpec:
         if isinstance(ref, str):
@@ -395,29 +397,11 @@ def request_from_doc(doc: Mapping, catalog: VsnfCatalog | None = None) -> Servic
                 raise ServiceError(f"{where}: unknown vsnf '{ref}'")
             return catalog[ref]
         if isinstance(ref, Mapping):
-            _reject_unknown_keys(ref, _VSNF_KEYS, where, ServiceError)
-            name = ref.get("name")
+            name = str(ref.get("name") or "")
             if not name:
                 raise ServiceError(f"{where}: inline vsnf needs a name")
-            base = catalog.get(str(name))
-            merged = {
-                "gamma_u": ref.get("gamma_u", base.gamma_u if base else None),
-                "stateful": ref.get("stateful", base.stateful if base else False),
-                "region": ref.get("region", base.region if base else None),
-            }
-            if merged["gamma_u"] is None:
-                raise ServiceError(f"{where}: vsnf '{name}' needs gamma_u")
-            return VsnfSpec(str(name), float(merged["gamma_u"]), bool(merged["stateful"]),
-                            merged["region"] and str(merged["region"]))
+            return _vsnf_from_doc(name, ref, where, _VSNF_KEYS, catalog.get(name))
         raise ServiceError(f"{where}: expected a vsnf name or mapping")
-
-    def number(value, where: str, field: str) -> float:
-        # YAML 1.1 reads unsigned exponents like 5.0e6 as strings, so
-        # accept anything float() does and localise the complaint.
-        try:
-            return float(value)
-        except (TypeError, ValueError):
-            raise ServiceError(f"{where}: '{field}' must be a number, got {value!r}")
 
     if "ep1" not in doc or "ep2" not in doc:
         raise ServiceError("request needs 'ep1' and 'ep2'")
@@ -434,17 +418,19 @@ def request_from_doc(doc: Mapping, catalog: VsnfCatalog | None = None) -> Servic
             lookup(ref, f"{where}.vsnfs[{pos}]")
             for pos, ref in enumerate(entry.get("vsnfs") or [])
         )
+        number = {
+            key: _number(entry, key, where, default, ServiceError)
+            for key, default in _CHAIN_NUMBERS.items()
+        }
         try:
             chains.append(
                 Chain(
                     direction=str(entry.get("direction", UP)),
                     vsnfs=vsnfs,
-                    beta_req=number(entry.get("bandwidth", 0), where, "bandwidth"),
-                    lambda_max=number(entry.get("max_latency", 0.0), where, "max_latency"),
-                    sigma=number(entry.get("packet_size", 8000.0), where, "packet_size"),
-                    pi_external=number(
-                        entry.get("external_latency", 0.0), where, "external_latency"
-                    ),
+                    beta_req=number["bandwidth"],
+                    lambda_max=number["max_latency"],
+                    sigma=number["packet_size"],
+                    pi_external=number["external_latency"],
                 )
             )
         except ServiceError as exc:
@@ -472,15 +458,19 @@ def request_from_doc(doc: Mapping, catalog: VsnfCatalog | None = None) -> Servic
         raise ServiceError(f"malformed request document: {exc}") from None
 
 
-def _vsnf_from_doc(name: str, doc) -> VsnfSpec:
-    where = f"vsnf_defs['{name}']"
-    if not isinstance(doc, Mapping) or "gamma_u" not in doc:
-        raise ServiceError(f"{where} needs at least gamma_u")
-    _reject_unknown_keys(doc, _VSNF_DEF_KEYS, where, ServiceError)
-    region = doc.get("region")
+def _vsnf_from_doc(
+    name: str, doc, where: str, allowed: frozenset[str], base: VsnfSpec | None = None
+) -> VsnfSpec:
+    """The VSNF mapping ``doc`` defines; the fields it leaves out come from ``base``."""
+    if not isinstance(doc, Mapping):
+        raise ServiceError(f"{where}: expected a mapping")
+    _reject_unknown_keys(doc, allowed, where, ServiceError)
+    if base is None and "gamma_u" not in doc:
+        raise ServiceError(f"{where}: vsnf '{name}' needs gamma_u")
+    region = doc.get("region", base and base.region)
     return VsnfSpec(
         name,
-        float(doc["gamma_u"]),
-        bool(doc.get("stateful", False)),
-        str(region) if region is not None else None,
+        _number(doc, "gamma_u", where, base and base.gamma_u, ServiceError),
+        bool(doc.get("stateful", base and base.stateful)),
+        None if region is None else str(region),
     )

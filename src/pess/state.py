@@ -17,10 +17,10 @@ local network and costs nothing beyond propagation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Mapping
 
-from .service import DOWN, UP, Chain, ServiceError, ServiceRequest, VsnfSpec
+from .service import UP, Chain, ServiceError, ServiceRequest
 from .topology import NodeId, PhysicalNetwork
 
 

@@ -8,12 +8,12 @@ directed arcs with independent bandwidth budgets; arc ``2*link_id`` runs from
 
 from __future__ import annotations
 
+import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
 
-import networkx as nx
 import yaml
 
 NodeId = int
@@ -87,8 +87,7 @@ class PhysicalNetwork:
     """Immutable, connected multigraph-free network over dense integer ids.
 
     Treat instances as read-only after construction; the embedding code keeps
-    all mutable bookkeeping in a separate state object so snapshots can be
-    shared across threads.
+    all mutable bookkeeping in a separate state object.
     """
 
     def __init__(
@@ -209,10 +208,13 @@ def generate_barabasi_albert(
 ) -> PhysicalNetwork:
     """Random scale-free network with exactly ``m * n_nodes - m**2`` links.
 
-    Growth starts from an ``m``-leaf star, so the result is always connected.
-    Link distances are drawn uniformly from ``distance_range_km`` and mapped
-    to propagation delays; one seed fixes both the attachment process and the
-    distance draws.
+    Barabási–Albert growth (Science 286, 1999) from an ``m``-leaf star, so the
+    result is always connected. Link distances are drawn uniformly from
+    ``distance_range_km`` and mapped to propagation delays; one seed fixes
+    both the attachment process and the distance draws. Draws and link order
+    match networkx 3.x's ``barabasi_albert_graph(n_nodes, m, seed=rng)``: as
+    there, each node's targets join the degree list in ``set`` order, so the
+    result depends on CPython's iteration order for sets of small ints.
     """
     if m < 1:
         raise TopologyError(f"attachment parameter m must be >= 1, got {m}")
@@ -225,13 +227,17 @@ def generate_barabasi_albert(
         raise TopologyError(f"bad distance range {distance_range_km}")
 
     rng = random.Random(seed)
-    graph = nx.barabasi_albert_graph(n_nodes, m, seed=rng)
-    expected_links = m * n_nodes - m * m
-    if graph.number_of_edges() != expected_links:  # pragma: no cover
-        raise TopologyError(
-            f"generator produced {graph.number_of_edges()} links, "
-            f"expected {expected_links}"
-        )
+    # Every node appears here once per incident link.
+    repeated = [0] * m + list(range(1, m + 1))
+    pairs = [(0, leaf) for leaf in range(1, m + 1)]
+    for source in range(m + 1, n_nodes):
+        targets: set[NodeId] = set()
+        while len(targets) < m:
+            targets.add(rng.choice(repeated))
+        pairs.extend((target, source) for target in targets)
+        repeated.extend(targets)
+        repeated.extend([source] * m)
+    pairs.sort()
 
     nodes = [
         default_node_profile(
@@ -240,7 +246,7 @@ def generate_barabasi_albert(
         for i in range(n_nodes)
     ]
     links = []
-    for link_id, (a, b) in enumerate(graph.edges()):
+    for link_id, (a, b) in enumerate(pairs):
         distance = rng.uniform(lo, hi)
         links.append(
             PhysicalLink(link_id, (a, b), int(bandwidth), propagation_delay(distance))
@@ -269,6 +275,22 @@ def _reject_unknown_keys(
     for key in entry:
         if key not in allowed:
             raise error(f"{where}: unknown key {key!r}")
+
+
+def _number(entry: Mapping, key: str, where: str, default: float | None = None,
+            error: type[Exception] = TopologyError, kind: type = float) -> float:
+    """``entry[key]``, or ``default``, as a finite ``kind``; else raise ``error``
+    naming ``where`` and ``key``. Strings that float() takes count, since YAML
+    1.1 reads ``5.0e6`` as one; ints convert exactly.
+    """
+    value = entry.get(key, default)
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        number = math.nan
+    if isinstance(value, bool) or not math.isfinite(number):
+        raise error(f"{where}: '{key}' must be a finite number, got {value!r}")
+    return kind(value if isinstance(value, int) else number)
 
 
 def load_topology(source: str | Path | Mapping) -> PhysicalNetwork:
@@ -306,18 +328,10 @@ def load_topology(source: str | Path | Mapping) -> PhysicalNetwork:
         name = str(entry.get("name", idx))
         if name in by_name:
             raise _doc_error(where, f"duplicate name '{name}'")
-        capacity = entry.get("capacity", DEFAULT_CPU_CAPACITY)
-        try:
-            capacity = int(capacity)
-        except (TypeError, ValueError):
-            raise _doc_error(where, f"capacity must be a number, got {capacity!r}")
+        capacity = _number(entry, "capacity", where, DEFAULT_CPU_CAPACITY, kind=int)
         if capacity <= 0:
             raise _doc_error(where, "capacity must be > 0")
-        budget = entry.get("queuing_budget", DEFAULT_QUEUING_BUDGET)
-        try:
-            budget = float(budget)
-        except (TypeError, ValueError):
-            raise _doc_error(where, f"queuing_budget must be a number, got {budget!r}")
+        budget = _number(entry, "queuing_budget", where, DEFAULT_QUEUING_BUDGET)
         if budget < 0:
             raise _doc_error(where, "queuing_budget must be >= 0")
         by_name[name] = idx
@@ -351,22 +365,18 @@ def load_topology(source: str | Path | Mapping) -> PhysicalNetwork:
         b = resolve(where, ends[1])
         if a == b:
             raise _doc_error(where, "self-loops are not allowed")
-        bandwidth = entry.get("bandwidth", DEFAULT_LINK_BANDWIDTH)
-        try:
-            bandwidth = int(bandwidth)
-        except (TypeError, ValueError):
-            raise _doc_error(where, f"bandwidth must be a number, got {bandwidth!r}")
+        bandwidth = _number(entry, "bandwidth", where, DEFAULT_LINK_BANDWIDTH, kind=int)
         if bandwidth <= 0:
             raise _doc_error(where, "bandwidth must be > 0")
         if "delay" in entry:
-            delay = float(entry["delay"])
+            delay = _number(entry, "delay", where)
             if delay < 0:
                 raise _doc_error(where, "delay must be >= 0")
         elif "distance_km" in entry:
-            try:
-                delay = propagation_delay(float(entry["distance_km"]))
-            except TopologyError as exc:
-                raise _doc_error(where, str(exc)) from None
+            distance = _number(entry, "distance_km", where)
+            if distance < 0:
+                raise _doc_error(where, "distance_km must be >= 0")
+            delay = propagation_delay(distance)
         else:
             raise _doc_error(where, "need either 'distance_km' or 'delay'")
         links.append(PhysicalLink(idx, (a, b), bandwidth, delay))

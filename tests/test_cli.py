@@ -139,6 +139,24 @@ class TestErrors:
         assert code == 1
         assert "chains[0]" in err
 
+    @pytest.mark.parametrize(
+        "link,needle",
+        [("delay: abc", "error: links[0]: 'delay'"),
+         ("distance_km: .nan", "error: links[0]: 'distance_km'")],
+    )
+    def test_malformed_topology_doc_located(self, capsys, tmp_path, request_file, link, needle):
+        bad = tmp_path / "net.yaml"
+        bad.write_text(
+            "nodes: [{name: a}, {name: b}]\nlinks:\n"
+            f"  - {{endpoints: [a, b], {link}}}\n"
+        )
+        code, _, err = run(
+            capsys, "embed", "--topology", "file", "--topology-file", str(bad),
+            "--request-file", request_file,
+        )
+        assert code == 1
+        assert err.startswith(needle)
+
     def test_out_of_range_endpoint(self, capsys, tmp_path):
         bad = tmp_path / "far.yaml"
         bad.write_text(

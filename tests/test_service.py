@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -327,6 +328,18 @@ class TestRequestFromDoc:
         req = request_from_doc(doc)
         assert req.chains[0].beta_req == 5_000_000
 
+    def test_inline_vsnf_inherits_catalog_fields(self):
+        doc = {
+            "ep1": 0,
+            "ep2": 1,
+            "chains": [{"vsnfs": [{"name": "snort", "region": "edge"},
+                                  {"name": "snort", "gamma_u": "2e1", "stateful": False}],
+                        "bandwidth": 1000, "max_latency": 0.1}],
+        }
+        first, second = request_from_doc(doc).chains[0].vsnfs
+        assert (first.gamma_u, first.stateful, first.region) == (9.5, True, "edge")
+        assert (second.gamma_u, second.stateful, second.region) == (20.0, False, None)
+
     def test_vsnf_defs_overlay(self):
         doc = {
             "vsnf_defs": {"dpi": {"gamma_u": 12.0, "stateful": True}},
@@ -358,6 +371,32 @@ class TestRequestFromDoc:
                 {"ep1": 0, "ep2": 1, "chains": [{"bandwidth": 0, "max_latency": 1}]},
                 "chains[0]",
             ),
+            # A NaN bound would make every latency check pass.
+            (
+                {"ep1": 0, "ep2": 1, "chains": [{"bandwidth": 1, "max_latency": math.nan}]},
+                "chains[0]: 'max_latency'",
+            ),
+            (
+                {"ep1": 0, "ep2": 1, "chains": [{"bandwidth": 1, "max_latency": True}]},
+                "chains[0]: 'max_latency'",
+            ),
+            *[
+                (
+                    {"ep1": 0, "ep2": 1, "chains": [
+                        {"vsnfs": [{"name": "dpi", "gamma_u": gamma_u}], "bandwidth": 1,
+                         "max_latency": 1}]},
+                    "chains[0].vsnfs[0]: 'gamma_u'",
+                )
+                for gamma_u in ("abc", math.nan)
+            ],
+            *[
+                (
+                    {"vsnf_defs": {"dpi": {"gamma_u": gamma_u}}, "ep1": 0, "ep2": 1,
+                     "chains": [{"vsnfs": ["dpi"], "bandwidth": 1, "max_latency": 1}]},
+                    "vsnf_defs['dpi']: 'gamma_u'",
+                )
+                for gamma_u in ("abc", math.nan)
+            ],
         ],
     )
     def test_located_errors(self, doc, needle):

@@ -1,9 +1,15 @@
 import hashlib
 import math
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import pess
 from pess.topology import (
     DEFAULT_CPU_CAPACITY,
     DEFAULT_LINK_BANDWIDTH,
@@ -93,6 +99,26 @@ class TestBarabasiAlbert:
         with pytest.raises(TopologyError):
             generate_barabasi_albert(5, 0, seed=0)
 
+    @pytest.mark.parametrize(
+        "n,m", [(n, m) for n in (2, 3, 8, 20, 200, 1000) for m in (1, 2, 3, 5) if m < n]
+    )
+    def test_ba_matches_networkx(self, n, m):
+        nx = pytest.importorskip("networkx")
+        for seed in range(5):
+            rng = random.Random(seed)
+            edges = list(nx.barabasi_albert_graph(n, m, seed=rng).edges())
+            expected = [(edge, propagation_delay(rng.uniform(10.0, 100.0))) for edge in edges]
+            net = generate_barabasi_albert(n, m, seed)
+            assert [(link.endpoints, link.lambda_prop) for link in net.links] == expected
+
+
+def test_import_leaves_networkx_out():
+    # networkx is a test-only dependency; the library must not load it.
+    src = str(Path(pess.__file__).parents[1])
+    code = "import sys, pess; sys.exit('networkx' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
 
 def test_arc_indexing():
     net = generate_barabasi_albert(10, 2, seed=3)
@@ -130,6 +156,17 @@ class TestLoadTopology:
             "links": [{"endpoints": ["a", "b"], "distance_km": 100, "delay": 0.125}],
         }
         assert load_topology(doc).links[0].lambda_prop == 0.125
+
+    def test_exponent_strings_load(self):
+        # YAML 1.1 reads 6.72e10 and 1e10 as strings: the exponent has no sign.
+        doc = {
+            "nodes": [{"name": "a", "capacity": "6.72e10"}, {"name": "b", "capacity": 6.72e+10}],
+            "links": [{"endpoints": ["a", "b"], "bandwidth": "1e10", "distance_km": "1e2"}],
+        }
+        net = load_topology(doc)
+        assert [node.gamma_nominal for node in net.nodes] == [67_200_000_000] * 2
+        assert net.links[0].beta_nominal == 10**10
+        assert net.links[0].lambda_prop == 5.0e-4
 
     def test_node_refs_by_id(self):
         doc = {
@@ -185,6 +222,27 @@ class TestLoadTopology:
                 },
                 "regions['edge']",
             ),
+            # Values that are not finite numbers, wherever a number is read.
+            *[
+                (
+                    {
+                        "nodes": [{"name": "a", **node}, {"name": "b"}],
+                        "links": [{"endpoints": ["a", "b"], **link}],
+                    },
+                    needle,
+                )
+                for node, link, needle in [
+                    ({"capacity": math.inf}, {"delay": 0}, "nodes[0]: 'capacity'"),
+                    ({"capacity": True}, {"delay": 0}, "nodes[0]: 'capacity'"),
+                    ({"queuing_budget": math.nan}, {"delay": 0}, "nodes[0]: 'queuing_budget'"),
+                    ({}, {"delay": "abc"}, "links[0]: 'delay'"),
+                    ({}, {"delay": [1]}, "links[0]: 'delay'"),
+                    ({}, {"delay": math.nan}, "links[0]: 'delay'"),
+                    ({}, {"distance_km": "abc"}, "links[0]: 'distance_km'"),
+                    ({}, {"distance_km": math.nan}, "links[0]: 'distance_km'"),
+                    ({}, {"bandwidth": "fast", "delay": 0}, "links[0]: 'bandwidth'"),
+                ]
+            ],
         ],
     )
     def test_located_errors(self, doc, needle):
