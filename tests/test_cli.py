@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -327,3 +328,66 @@ def test_readme_yaml_examples_load():
         assert net.n_links == len(doc["links"])
     for doc in requests:
         assert len(request_from_doc(doc).chains) == len(doc["chains"])
+
+
+# SHA-256 of each result file and of stdout for small runs of the commands
+# that write byte-reproducible results. Stdout names the result directory,
+# written as <out>, and oracle-gap's per-request wall-clock means, written
+# as <ms>.
+PINNED_OUTPUTS = [
+    (
+        ("--seed", "1", "simulate", "--topology", "ba", "--nodes", "10",
+         "--loads", "100,1200", "--seeds", "1,2", "--requests", "1000", "--warmup", "600"),
+        {
+            "metrics.csv": "94ff30aaa4034dc1b4d6d10e3879407a85a5285f81876e8933d84c37dddf8cfd",
+            "summary.json": "9be5f0271b9caf6a853fb5e6cf7a85684b66d39d16e00635d37b701ca3389744",
+            "stdout": "6cc1fe981e9c30cdc411caaa53c1eb01f07079c81c55528f745a3a18e05c2df0",
+        },
+    ),
+    (
+        ("--seed", "2", "--alpha", "0.5", "simulate", "--topology", "file",
+         "--topology-file", "garr", "--loads", "3000", "--solver", "baseline-pess",
+         "--requests", "800", "--warmup", "400"),
+        {
+            "metrics.csv": "6f4af3bf38b3c8277daa6cfc6357a12c41d2465abfcfb75f0f4a1c8d66fac3d1",
+            "summary.json": "b6b63b6cc56b6407a99660d23b09ded83531dd7bffa00b21e2a9d93d512fe87b",
+            "stdout": "affa2a08f4db8b92b8729c16ad5c4910d9048c1b9dc8da545abd99493d5ad504",
+        },
+    ),
+    (
+        ("--seed", "3", "compare", "--topology", "ba", "--nodes", "10",
+         "--loads", "800", "--seeds", "3,4", "--requests", "1000", "--warmup", "600"),
+        {
+            "metrics.csv": "c84ccf0b853820a441a7ff952ef233e3aadb2b9f1a6349f3bb00a8054a82e544",
+            "summary.json": "9aab5e6ad9169cbf7edccdb0d0150690885adc87eedd96ea61124914a22ada7e",
+            "stdout": "92a7837a38ebc110c35694920d88f04fc671356afb21657bf1d9305dfed16078",
+        },
+    ),
+    (
+        ("--seed", "2", "oracle-gap", "--topology", "ba", "--nodes", "6",
+         "--load", "5", "--requests", "40", "--warmup", "20", "--compare", "10",
+         "--max-path-len", "2"),
+        {
+            "oracle_gap.csv": "7c635b17507f8c5dd396a49ca25938d7faf9ce05f1ea327a488bbbd50e8825cf",
+            "summary.json": "8f34f831c6d5d6f45ef238ba53ef740d75434a34738f81b8d6563ca0081667c2",
+            "stdout": "65ecfa6917a57c050ac15693acef12654e98852f14a2fd1e25e743dbd85b9fab",
+        },
+    ),
+]
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "argv,expected", PINNED_OUTPUTS, ids=["simulate", "simulate-baseline", "compare", "oracle-gap"]
+)
+def test_output_bytes_pinned(capsys, tmp_path, argv, expected):
+    code, out, err = run(capsys, "--out", str(tmp_path), *argv)
+    assert code == 0, err
+    out = out.replace(str(tmp_path), "<out>")
+    out = re.sub(r"\(heuristic \S+ ms, oracle \S+ ms", "(heuristic <ms> ms, oracle <ms> ms", out)
+    digests = {path.name: _digest(path.read_bytes()) for path in sorted(tmp_path.iterdir())}
+    digests["stdout"] = _digest(out.encode())
+    assert digests == expected
