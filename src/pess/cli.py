@@ -98,6 +98,28 @@ def _write_summary(path: Path, config: dict, rows) -> None:
     _atomic_write(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
+def _config(obj: dict, topo: dict, **fields) -> dict:
+    """The ``summary.json`` config of a run: the command's own ``fields``,
+    the cost weights and the topology options."""
+    return {**fields, "alpha": obj["params"].alpha, "delta": obj["params"].delta, **topo}
+
+
+def _write_metrics(obj: dict, topo: dict, rows: list[list[str]], **fields) -> None:
+    """Write ``metrics.csv`` and ``summary.json`` with ``_config(obj, topo, **fields)``."""
+    out = obj["out"]
+    _write_csv(out / "metrics.csv", METRICS_SCHEMA, METRICS_COLUMNS, rows)
+    _write_summary(out / "summary.json", _config(obj, topo, **fields),
+                   [dict(zip(METRICS_COLUMNS, row)) for row in rows])
+
+
+def _checked(build, **fields):
+    """``build(**fields)``, with a value it refuses reported as a usage error."""
+    try:
+        return build(**fields)
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from None
+
+
 def _build_network(ctx_obj: dict, topology: str, topology_file: str | None,
                    nodes: int | None, attachment_m: int) -> PhysicalNetwork:
     if topology == "ba":
@@ -115,6 +137,7 @@ def _build_network(ctx_obj: dict, topology: str, topology_file: str | None,
 
 
 def _topology_options(fn):
+    """The four topology options; a command takes them as ``**topo``."""
     fn = click.option("--topology", type=click.Choice(["ba", "file"]), default="ba",
                       show_default=True, help="Use a random network or a topology file.")(fn)
     fn = click.option("--topology-file", default=None,
@@ -138,7 +161,7 @@ def cli(ctx: click.Context, seed: int, delta: float, alpha: float, out: str) -> 
     """Embed security service chains and run workload experiments."""
     ctx.obj = {
         "seed": seed,
-        "params": CostParams(alpha=alpha, delta=delta),
+        "params": _checked(CostParams, alpha=alpha, delta=delta),
         "out": Path(out),
     }
 
@@ -157,10 +180,9 @@ def _load_request(request_file: str):
 @click.option("--expand-all-ep2", is_flag=True,
               help="Grow detour paths toward every reachable remote endpoint.")
 @click.pass_obj
-def embed(obj: dict, topology: str, topology_file: str | None, nodes: int | None,
-          attachment_m: int, request_file: str, scan_order: str, expand_all_ep2: bool) -> None:
+def embed(obj: dict, request_file: str, scan_order: str, expand_all_ep2: bool, **topo) -> None:
     """Embed one request on a fresh network and print the result."""
-    net = _build_network(obj, topology, topology_file, nodes, attachment_m)
+    net = _build_network(obj, **topo)
     request = _load_request(request_file)
     state = NetworkState.fresh(net)
     outcome = pess_embed(
@@ -186,15 +208,14 @@ def embed(obj: dict, topology: str, topology_file: str | None, nodes: int | None
               help="Max arcs per routed segment (default: node count - 1).")
 @click.option("--max-enumeration", type=int, default=2_000_000, show_default=True)
 @click.pass_obj
-def oracle(obj: dict, topology: str, topology_file: str | None, nodes: int | None,
-           attachment_m: int, request_file: str, objective: str,
-           max_path_len: int | None, max_enumeration: int) -> None:
+def oracle(obj: dict, request_file: str, objective: str, max_path_len: int | None,
+           max_enumeration: int, **topo) -> None:
     """Exhaustively solve one request on a fresh network."""
-    net = _build_network(obj, topology, topology_file, nodes, attachment_m)
+    cfg = _checked(OracleConfig, objective=objective, max_path_len=max_path_len,
+                   max_enumeration=max_enumeration)
+    net = _build_network(obj, **topo)
     request = _load_request(request_file)
     state = NetworkState.fresh(net)
-    cfg = OracleConfig(objective=objective, max_path_len=max_path_len,
-                       max_enumeration=max_enumeration)
     outcome = exact_embed(state, request, cfg, obj["params"])
     if not outcome.optimal:
         raise _Rejected("infeasible")
@@ -205,24 +226,39 @@ def oracle(obj: dict, topology: str, topology_file: str | None, nodes: int | Non
                nl=False)
 
 
-def _parse_loads(text: str) -> list[float]:
-    try:
-        loads = [float(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise click.UsageError(f"--loads must be comma-separated numbers, got '{text}'")
-    if not loads:
+def _parse_list(text: str, parse, bad: str) -> list:
+    """``parse`` of each non-blank entry of the comma-separated ``text``. An
+    entry it refuses is a usage error: ``bad``, with ``{part}`` and
+    ``{text}`` filled in."""
+    values = []
+    for part in text.split(","):
+        part = part.strip()
+        if not part:
+            continue
+        try:
+            values.append(parse(part))
+        except ValueError:
+            raise click.UsageError(bad.format(part=part, text=text)) from None
+    return values
+
+
+def _sweep(obj: dict, loads: str, seeds: str | None, requests: int, warmup: int):
+    """The loads and seeds of ``--loads`` and ``--seeds``, and the
+    ``(seed, workload)`` of every point, loads outermost."""
+    load_values = _parse_list(
+        loads, float, "--loads must be comma-separated numbers, got '{text}'"
+    )
+    if not load_values:
         raise click.UsageError("--loads must name at least one load")
-    return loads
-
-
-def _parse_seeds(text: str | None, default: int) -> list[int]:
-    if text is None:
-        return [default]
-    try:
-        seeds = [int(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise click.UsageError(f"--seeds must be comma-separated integers, got '{text}'")
-    return seeds or [default]
+    seed_values = _parse_list(
+        seeds or "", int, "--seeds must be comma-separated integers, got '{text}'"
+    ) or [obj["seed"]]
+    points = [
+        (seed, _checked(WorkloadConfig, load_erlang=load, n_requests=requests, warmup=warmup))
+        for load in load_values
+        for seed in seed_values
+    ]
+    return load_values, seed_values, points
 
 
 @cli.command()
@@ -234,35 +270,19 @@ def _parse_seeds(text: str | None, default: int) -> list[int]:
 @click.option("--warmup", type=int, default=80_000, show_default=True)
 @click.option("--seeds", default=None, help="Comma-separated seeds (default: the global --seed).")
 @click.pass_obj
-def simulate(obj: dict, topology: str, topology_file: str | None, nodes: int | None,
-             attachment_m: int, loads: str, solver: str, requests: int, warmup: int,
-             seeds: str | None) -> None:
+def simulate(obj: dict, loads: str, solver: str, requests: int, warmup: int,
+             seeds: str | None, **topo) -> None:
     """Simulate a Poisson workload and write a metrics table."""
-    net = _build_network(obj, topology, topology_file, nodes, attachment_m)
-    load_values = _parse_loads(loads)
-    seed_values = _parse_seeds(seeds, obj["seed"])
-    points = [(load, seed) for load in load_values for seed in seed_values]
-    results = []
-    for load, seed in points:
-        cfg = WorkloadConfig(load_erlang=load, n_requests=requests, warmup=warmup)
-        results.append(run_simulation(net, cfg, solver, seed, obj["params"]))
-
-    rows = [_metrics_row(metrics, seed) for metrics, (_, seed) in zip(results, points)]
-    out = obj["out"]
-    _write_csv(out / "metrics.csv", METRICS_SCHEMA, METRICS_COLUMNS, rows)
-    config = {
-        "command": "simulate", "loads": load_values, "seeds": seed_values,
-        "solver": solver, "requests": requests, "warmup": warmup,
-        "alpha": obj["params"].alpha, "delta": obj["params"].delta,
-        "topology": topology, "topology_file": topology_file,
-        "nodes": nodes, "attachment_m": attachment_m,
-    }
-    summary_rows = [dict(zip(METRICS_COLUMNS, row)) for row in rows]
-    _write_summary(out / "summary.json", config, summary_rows)
+    net = _build_network(obj, **topo)
+    load_values, seed_values, points = _sweep(obj, loads, seeds, requests, warmup)
+    rows = [_metrics_row(run_simulation(net, cfg, solver, seed, obj["params"]), seed)
+            for seed, cfg in points]
+    _write_metrics(obj, topo, rows, command="simulate", loads=load_values, seeds=seed_values,
+                   solver=solver, requests=requests, warmup=warmup)
     for row in rows:
         click.echo(f"load={row[0]} seed={row[2]} solver={row[1]} "
                    f"blocking={row[6]} cpu={row[7]}")
-    click.echo(f"wrote {out / 'metrics.csv'}")
+    click.echo(f"wrote {obj['out'] / 'metrics.csv'}")
 
 
 @cli.command()
@@ -272,42 +292,27 @@ def simulate(obj: dict, topology: str, topology_file: str | None, nodes: int | N
 @click.option("--warmup", type=int, default=80_000, show_default=True)
 @click.option("--seeds", default=None, help="Comma-separated seeds (default: the global --seed).")
 @click.pass_obj
-def compare(obj: dict, topology: str, topology_file: str | None, nodes: int | None,
-            attachment_m: int, loads: str, requests: int, warmup: int,
-            seeds: str | None) -> None:
+def compare(obj: dict, loads: str, requests: int, warmup: int, seeds: str | None,
+            **topo) -> None:
     """Twin PESS vs aggregate-baseline runs on shared request streams."""
-    net = _build_network(obj, topology, topology_file, nodes, attachment_m)
-    load_values = _parse_loads(loads)
-    seed_values = _parse_seeds(seeds, obj["seed"])
-    points = [(load, seed) for load in load_values for seed in seed_values]
-    reports = []
-    for load, seed in points:
-        cfg = WorkloadConfig(load_erlang=load, n_requests=requests, warmup=warmup)
-        reports.append(run_twin_comparison(net, cfg, seed, obj["params"]))
-
+    net = _build_network(obj, **topo)
+    load_values, seed_values, points = _sweep(obj, loads, seeds, requests, warmup)
+    reports = [run_twin_comparison(net, cfg, seed, obj["params"]) for seed, cfg in points]
     rows = []
-    for report, (_, seed) in zip(reports, points):
+    for report, (seed, _) in zip(reports, points):
         rows.append(_metrics_row(report.pess, seed))
         rows.append(_metrics_row(report.baseline, seed))
-    out = obj["out"]
-    _write_csv(out / "metrics.csv", METRICS_SCHEMA, METRICS_COLUMNS, rows)
-    config = {
-        "command": "compare", "loads": load_values, "seeds": seed_values,
-        "requests": requests, "warmup": warmup,
-        "alpha": obj["params"].alpha, "delta": obj["params"].delta,
-        "topology": topology, "topology_file": topology_file,
-        "nodes": nodes, "attachment_m": attachment_m,
-    }
-    summary_rows = [dict(zip(METRICS_COLUMNS, row)) for row in rows]
-    _write_summary(out / "summary.json", config, summary_rows)
-    for report, (load, seed) in zip(reports, points):
+    _write_metrics(obj, topo, rows, command="compare", loads=load_values, seeds=seed_values,
+                   requests=requests, warmup=warmup)
+    for report, (seed, cfg) in zip(reports, points):
         ratio = report.delay_ratio
         click.echo(
-            f"load={load} seed={seed} blocking pess={report.pess.blocking_probability:.4f} "
+            f"load={cfg.load_erlang} seed={seed} "
+            f"blocking pess={report.pess.blocking_probability:.4f} "
             f"baseline={report.baseline.blocking_probability:.4f} "
             f"delay-ratio={ratio if ratio is None else f'{ratio:.3f}'}"
         )
-    click.echo(f"wrote {out / 'metrics.csv'}")
+    click.echo(f"wrote {obj['out'] / 'metrics.csv'}")
 
 
 @cli.command(name="oracle-gap")
@@ -320,13 +325,13 @@ def compare(obj: dict, topology: str, topology_file: str | None, nodes: int | No
 @click.option("--max-path-len", type=int, default=None)
 @click.option("--max-enumeration", type=int, default=2_000_000, show_default=True)
 @click.pass_obj
-def oracle_gap(obj: dict, topology: str, topology_file: str | None, nodes: int | None,
-               attachment_m: int, load: float, requests: int, warmup: int,
-               compare_n: int | None, max_path_len: int | None, max_enumeration: int) -> None:
+def oracle_gap(obj: dict, load: float, requests: int, warmup: int, compare_n: int | None,
+               max_path_len: int | None, max_enumeration: int, **topo) -> None:
     """Price heuristic embeddings against the exhaustive oracle."""
-    net = _build_network(obj, topology, topology_file, nodes, attachment_m)
-    cfg = WorkloadConfig(load_erlang=load, n_requests=requests, warmup=warmup)
-    oracle_cfg = OracleConfig(max_path_len=max_path_len, max_enumeration=max_enumeration)
+    net = _build_network(obj, **topo)
+    cfg = _checked(WorkloadConfig, load_erlang=load, n_requests=requests, warmup=warmup)
+    oracle_cfg = _checked(OracleConfig, max_path_len=max_path_len,
+                          max_enumeration=max_enumeration)
     report = run_heuristic_vs_oracle(
         net, cfg, oracle_cfg, obj["seed"], obj["params"], compare=compare_n
     )
@@ -342,14 +347,9 @@ def oracle_gap(obj: dict, topology: str, topology_file: str | None, nodes: int |
         out / "oracle_gap.csv", GAP_SCHEMA, list(row),
         [[_fmt(value) for value in row.values()]],
     )
-    config = {
-        "command": "oracle-gap", "load": load, "seed": obj["seed"],
-        "requests": requests, "warmup": warmup, "compare": compare_n,
-        "max_path_len": max_path_len, "max_enumeration": max_enumeration,
-        "alpha": obj["params"].alpha, "delta": obj["params"].delta,
-        "topology": topology, "topology_file": topology_file,
-        "nodes": nodes, "attachment_m": attachment_m,
-    }
+    config = _config(obj, topo, command="oracle-gap", load=load, seed=obj["seed"],
+                     requests=requests, warmup=warmup, compare=compare_n,
+                     max_path_len=max_path_len, max_enumeration=max_enumeration)
     _write_summary(out / "summary.json", config, [row])
     click.echo(
         f"compared={report.compared} both={report.both_solved} "
@@ -360,20 +360,9 @@ def oracle_gap(obj: dict, topology: str, topology_file: str | None, nodes: int |
     click.echo(f"wrote {out / 'oracle_gap.csv'}")
 
 
-def _parse_sizes(text: str) -> list[tuple[int, int]]:
-    sizes = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        try:
-            n_text, m_text = part.split(":")
-            sizes.append((int(n_text), int(m_text)))
-        except ValueError:
-            raise click.UsageError(f"--sizes entries look like NODES:M, got '{part}'")
-    if not sizes:
-        raise click.UsageError("--sizes must name at least one topology size")
-    return sizes
+def _parse_size(part: str) -> tuple[int, int]:
+    n_text, m_text = part.split(":")
+    return int(n_text), int(m_text)
 
 
 @cli.command()
@@ -388,14 +377,14 @@ def scalability(obj: dict, sizes: str, requests: int, ep2_sizes: str) -> None:
 
     The table holds wall-clock measurements, so reruns are not byte-identical.
     """
-    size_values = _parse_sizes(sizes)
-    try:
-        ep2_values = [int(part) for part in ep2_sizes.split(",") if part.strip()]
-    except ValueError:
-        raise click.UsageError(f"--ep2-sizes must be integers, got '{ep2_sizes}'")
+    size_values = _parse_list(
+        sizes, _parse_size, "--sizes entries look like NODES:M, got '{part}'"
+    )
+    if not size_values:
+        raise click.UsageError("--sizes must name at least one topology size")
+    ep2_values = _parse_list(ep2_sizes, int, "--ep2-sizes must be integers, got '{text}'") or [1]
     rows = run_scalability(
-        size_values, requests, ep2_sizes=ep2_values or [1],
-        seed=obj["seed"], params=obj["params"],
+        size_values, requests, ep2_sizes=ep2_values, seed=obj["seed"], params=obj["params"],
     )
     columns = ["n_nodes", "m", "ep2_size", "requests", "accepted",
                "embed_ms_mean", "embed_ms_p50", "embed_ms_p95", "embed_ms_p99"]

@@ -15,8 +15,8 @@ running chain wins. Initial paths enter it priced exactly. A detour enters
 it with a lower bound of its cost from per-tree prefix sums
 (``detour_bounds``), and is walked out of the trees and priced only when
 that bound pops; the scan order, and so the decision, is the one a full
-sort of every priced path would give. Descending scans price every detour
-up front.
+sort of every priced path would give. A descending scan drains the same
+heap, which prices every detour, and checks the paths in reverse.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .service import UP, ServiceRequest
 from .state import (
@@ -69,14 +69,6 @@ class EmbedOutcome:
     @property
     def accepted(self) -> bool:
         return self.embedding is not None
-
-
-@dataclass(frozen=True)
-class CandidateSolution:
-    path: tuple[NodeId, ...]
-    embedding: Embedding
-    cost: float
-    chain_latencies: tuple[float, ...]
 
 
 class _Tree:
@@ -306,7 +298,7 @@ def check_placement(
     placement: Placement,
     req: ServiceRequest,
     params: CostParams,
-) -> tuple[CandidateSolution | None, str | None]:
+) -> tuple[EmbedOutcome | None, str | None]:
     """Costly half of ``place_on_path``: build the embedding of a priced
     placement and run the stateful, capacity and latency checks."""
     net = state.net
@@ -345,7 +337,7 @@ def check_placement(
         if latency > chain.lambda_max:
             return None, "latency"
         latencies.append(latency)
-    return CandidateSolution(path, emb, cost, tuple(latencies)), None
+    return EmbedOutcome(emb, cost, tuple(latencies)), None
 
 
 def place_on_path(
@@ -353,12 +345,12 @@ def place_on_path(
     path: tuple[NodeId, ...],
     req: ServiceRequest,
     params: CostParams,
-) -> tuple[CandidateSolution | None, str | None]:
+) -> tuple[EmbedOutcome | None, str | None]:
     """Embed every chain of ``req`` along one physical path.
 
     Places the VSNFs and prices the candidate (``price_path``), then builds
-    and checks it (``check_placement``). Returns the candidate with its cost,
-    or ``(None, violation_code)``.
+    and checks it (``check_placement``). Returns the unregistered outcome,
+    with its cost and chain latencies, or ``(None, violation_code)``.
     """
     arcs = [state.net.arc(a, b) for a, b in zip(path, path[1:])]
     placement, code = price_path(state, path, arcs, req, params)
@@ -383,14 +375,14 @@ def pess_embed(
     places, passes its checks and breaks no running chain is taken. Initial
     paths are priced exactly. A detour enters the scan with a lower bound of
     its cost, and is walked out of the trees and priced only when the scan
-    reaches that bound; ``scan_descending`` runs price every detour up
-    front.
+    reaches that bound.
 
     ``register=False`` evaluates without committing. ``scan_descending``
-    flips the acceptance scan to try expensive candidates first (kept for
-    comparison runs). ``expand_all_ep2`` anchors detour paths at every
-    reachable remote endpoint instead of only the remote end of the best
-    feasible initial path, at the price of one more tree per endpoint.
+    tries expensive candidates first (kept for comparison runs): it drains
+    the same scan, pricing every detour, and checks the paths in reverse.
+    ``expand_all_ep2`` anchors detour paths at every reachable remote
+    endpoint instead of only the remote end of the best feasible initial
+    path, at the price of one more tree per endpoint.
     """
     net = state.net
     validate_request_nodes(net, req)
@@ -408,7 +400,7 @@ def pess_embed(
     # and checked at most once.
     heap: list[tuple] = []
     seq = itertools.count()
-    checked: dict[tuple[NodeId, ...], tuple[CandidateSolution | None, str | None]] = {}
+    checked: dict[tuple[NodeId, ...], tuple[EmbedOutcome | None, str | None]] = {}
     unplaced: str | None = None
 
     def rank(path: tuple[NodeId, ...], arcs: list[int]) -> None:
@@ -426,7 +418,7 @@ def pess_embed(
         if len(set(joined)) == len(joined):
             rank(joined, head_arcs + [arc ^ 1 for arc in reversed(tail_arcs)])
 
-    def check(path: tuple[NodeId, ...]) -> tuple[CandidateSolution | None, str | None]:
+    def check(path: tuple[NodeId, ...]) -> tuple[EmbedOutcome | None, str | None]:
         if path not in checked:
             checked[path] = place_on_path(state, path, req, params)
         return checked[path]
@@ -467,19 +459,13 @@ def pess_embed(
                 for via in sorted(expansion)
                 if not math.isinf(user.dist[via]) and not math.isinf(remote.dist[via])
             ]
-            if not scan_descending:
-                for via, bound in zip(vias, detour_bounds(state, req, params, user, remote, vias)):
-                    heapq.heappush(heap, (bound, 0, next(seq), remote, via))
-            else:
-                for via in vias:
-                    detour(remote, via)
+            for via, bound in zip(vias, detour_bounds(state, req, params, user, remote, vias)):
+                heapq.heappush(heap, (bound, 0, next(seq), remote, via))
 
     def scan():
-        """Candidate paths in scan order; a popped bound is replaced by its
-        priced detour, which pops once nothing cheaper is left."""
-        if scan_descending:
-            yield from (entry[3] for entry in sorted(heap, reverse=True))
-            return
+        """Candidate paths in ascending scan order; a popped bound is
+        replaced by its priced detour, which pops once nothing cheaper is
+        left. Paths tied on ``(cost, len(path), path)`` are the same path."""
         while heap:
             entry = heapq.heappop(heap)
             if entry[1]:
@@ -488,21 +474,15 @@ def pess_embed(
                 detour(entry[3], entry[4])
 
     violation = None
-    for path in scan():
-        candidate, code = check(path)
-        if candidate is None:
+    for path in reversed(list(scan())) if scan_descending else scan():
+        outcome, code = check(path)
+        if outcome is None:
             violation = violation or code
             continue
-        if recheck_operational(state, candidate.embedding, req, params).ok:
-            service_id = None
-            if register:
-                service_id = state.register(candidate.embedding, req, params)
-            return EmbedOutcome(
-                embedding=candidate.embedding,
-                cost=candidate.cost,
-                chain_latencies=candidate.chain_latencies,
-                service_id=service_id,
-            )
+        if recheck_operational(state, outcome.embedding, req, params).ok:
+            if not register:
+                return outcome
+            return replace(outcome, service_id=state.register(outcome.embedding, req, params))
         violation = violation or "op-latency"
     # No path ranked at all: name what stopped the first one from placing.
     return EmbedOutcome(None, reason=REASON_INFEASIBLE, violation=violation or unplaced)

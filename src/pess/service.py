@@ -43,8 +43,8 @@ class VsnfSpec:
     region: str | None = None
 
     def __post_init__(self) -> None:
-        if self.gamma_u <= 0:
-            raise ServiceError(f"vsnf '{self.name}': gamma_u must be > 0")
+        if not 0 < self.gamma_u < math.inf:
+            raise ServiceError(f"vsnf '{self.name}': gamma_u must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -68,11 +68,11 @@ class Chain:
             object.__setattr__(self, "beta_req", int(beta))
         if self.beta_req <= 0:
             raise ServiceError("beta_req must be > 0")
-        if self.lambda_max <= 0:
+        if not self.lambda_max > 0:
             raise ServiceError("lambda_max must be > 0")
-        if self.sigma <= 0:
+        if not self.sigma > 0:
             raise ServiceError("sigma must be > 0")
-        if self.pi_external < 0:
+        if not self.pi_external >= 0:
             raise ServiceError("pi_external must be >= 0")
         object.__setattr__(self, "vsnfs", tuple(self.vsnfs))
 
@@ -219,7 +219,7 @@ class RequestGenConfig:
             raise ServiceError(f"bad bandwidth_range {self.bandwidth_range}")
         if not self.latency_menu:
             raise ServiceError("latency_menu must not be empty")
-        if any(v <= 0 for v in self.latency_menu):
+        if not all(v > 0 for v in self.latency_menu):
             raise ServiceError("latency_menu values must be > 0")
         if not 0.0 <= self.border_bias <= 1.0:
             raise ServiceError("border_bias must be in [0, 1]")
@@ -386,7 +386,10 @@ def request_from_doc(doc: Mapping, catalog: VsnfCatalog | None = None) -> Servic
         raise ServiceError("request document must be a mapping")
     _reject_unknown_keys(doc, _REQUEST_KEYS, "request", ServiceError)
     catalog = dict(catalog or builtin_catalog())
-    for name, spec_doc in (doc.get("vsnf_defs") or {}).items():
+    vsnf_defs = doc.get("vsnf_defs")
+    if not isinstance(vsnf_defs, (Mapping, type(None))):
+        raise ServiceError(f"vsnf_defs: expected a mapping, got {vsnf_defs!r}")
+    for name, spec_doc in (vsnf_defs or {}).items():
         catalog[str(name)] = _vsnf_from_doc(
             str(name), spec_doc, f"vsnf_defs['{name}']", _VSNF_DEF_KEYS
         )
@@ -416,7 +419,7 @@ def request_from_doc(doc: Mapping, catalog: VsnfCatalog | None = None) -> Servic
         _reject_unknown_keys(entry, _CHAIN_KEYS, where, ServiceError)
         vsnfs = tuple(
             lookup(ref, f"{where}.vsnfs[{pos}]")
-            for pos, ref in enumerate(entry.get("vsnfs") or [])
+            for pos, ref in enumerate(_list(entry.get("vsnfs"), f"{where}.vsnfs"))
         )
         number = {
             key: _number(entry, key, where, default, ServiceError)
@@ -439,23 +442,53 @@ def request_from_doc(doc: Mapping, catalog: VsnfCatalog | None = None) -> Servic
                 raise ServiceError(f"{where}: {message}") from None
             raise
     groups = doc.get("stateful_groups")
-    try:
-        if groups is None:
-            groups = infer_stateful_groups(chains)
-        else:
-            groups = tuple(tuple((int(c), int(p)) for c, p in group) for group in groups)
-        ep2 = doc["ep2"]
-        if isinstance(ep2, int):
-            ep2 = [ep2]
-        return ServiceRequest(
-            ep1=int(doc["ep1"]),
-            ep2_set=frozenset(int(v) for v in ep2),
-            chains=tuple(chains),
-            stateful_groups=groups,
-            veto=frozenset(int(v) for v in (doc.get("veto") or [])),
+    if groups is None:
+        groups = infer_stateful_groups(chains)
+    else:
+        groups = tuple(
+            tuple(
+                _member(member, f"stateful_groups[{idx}][{pos}]")
+                for pos, member in enumerate(_list(group, f"stateful_groups[{idx}]"))
+            )
+            for idx, group in enumerate(_list(groups, "stateful_groups"))
         )
-    except (TypeError, ValueError) as exc:
+    ep1 = _int(doc["ep1"], "ep1")
+    ep2 = doc["ep2"]
+    ep2_set = _ints(ep2, "ep2") if isinstance(ep2, list) else [_int(ep2, "ep2")]
+    veto = _ints(doc.get("veto"), "veto")
+    try:
+        return ServiceRequest(ep1, frozenset(ep2_set), tuple(chains), groups, frozenset(veto))
+    except ServiceError as exc:
         raise ServiceError(f"malformed request document: {exc}") from None
+
+
+def _list(value, where: str) -> list:
+    """``value`` if it is a list; a missing or null list is empty."""
+    if value is None:
+        return []
+    if not isinstance(value, list):
+        raise ServiceError(f"{where}: expected a list, got {value!r}")
+    return value
+
+
+def _int(value, where: str) -> int:
+    """``value`` if it is an int; node ids and group members are never
+    truncated from floats, nor read from bools."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ServiceError(f"{where}: expected an integer, got {value!r}")
+    return value
+
+
+def _ints(values, where: str) -> list[int]:
+    return [_int(value, f"{where}[{idx}]") for idx, value in enumerate(_list(values, where))]
+
+
+def _member(value, where: str) -> GroupMember:
+    """A stateful group member: a ``[chain index, position]`` pair."""
+    pair = _ints(value, where)
+    if len(pair) != 2:
+        raise ServiceError(f"{where}: expected a [chain, position] pair, got {value!r}")
+    return pair[0], pair[1]
 
 
 def _vsnf_from_doc(

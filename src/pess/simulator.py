@@ -24,7 +24,6 @@ from .oracle import OracleBudgetExceeded, OracleConfig, exact_embed
 from .service import (
     RequestGenConfig,
     ServiceRequest,
-    VsnfCatalog,
     baseline_request,
     builtin_catalog,
     generate_request,
@@ -47,13 +46,13 @@ class WorkloadConfig:
     request_cfg: RequestGenConfig = field(default_factory=RequestGenConfig)
 
     def __post_init__(self) -> None:
-        if self.load_erlang <= 0:
+        if not self.load_erlang > 0:
             raise ValueError("load_erlang must be > 0")
         if self.n_requests < 1:
             raise ValueError("n_requests must be >= 1")
         if not 0 <= self.warmup < self.n_requests:
             raise ValueError("warmup must be in [0, n_requests)")
-        if self.mean_holding <= 0:
+        if not self.mean_holding > 0:
             raise ValueError("mean_holding must be > 0")
 
 
@@ -122,14 +121,9 @@ class Metrics:
         )
 
 
-def generate_stream(
-    net: PhysicalNetwork,
-    cfg: WorkloadConfig,
-    seed: int,
-    catalog: VsnfCatalog | None = None,
-) -> list[Arrival]:
+def generate_stream(net: PhysicalNetwork, cfg: WorkloadConfig, seed: int) -> list[Arrival]:
     """Pre-draw the full arrival process for a run (timing and requests)."""
-    catalog = catalog or builtin_catalog()
+    catalog = builtin_catalog()
     rng = random.Random(seed)
     rate = cfg.load_erlang / cfg.mean_holding
     t = 0.0
@@ -283,11 +277,10 @@ def run_simulation(
     params: CostParams = CostParams(),
     *,
     stream: Sequence[Arrival] | None = None,
-    catalog: VsnfCatalog | None = None,
 ) -> Metrics:
     """Simulate one (load, solver) point and return its metrics row."""
     if stream is None:
-        stream = generate_stream(net, cfg, seed, catalog)
+        stream = generate_stream(net, cfg, seed)
     return _run(net, cfg, solver, stream, params, stream_checksum(stream))
 
 
@@ -303,11 +296,9 @@ def run_twin_comparison(
     cfg: WorkloadConfig,
     seed: int = 0,
     params: CostParams = CostParams(),
-    *,
-    catalog: VsnfCatalog | None = None,
 ) -> TwinReport:
     """Run PESS and the aggregate-chain baseline on one shared stream."""
-    stream = generate_stream(net, cfg, seed, catalog)
+    stream = generate_stream(net, cfg, seed)
     checksum = stream_checksum(stream)
     pess_metrics = _run(net, cfg, SOLVER_PESS, stream, params, checksum)
     base_metrics = _run(net, cfg, SOLVER_BASELINE, stream, params, checksum)
@@ -342,7 +333,6 @@ def run_heuristic_vs_oracle(
     params: CostParams = CostParams(),
     *,
     compare: int | None = None,
-    catalog: VsnfCatalog | None = None,
 ) -> GapReport:
     """Warm the network with the heuristic, then price both solvers.
 
@@ -351,7 +341,7 @@ def run_heuristic_vs_oracle(
     network) and by the exhaustive oracle (read-only). Overheads are
     (heuristic - oracle) / oracle on requests both solved.
     """
-    stream = generate_stream(net, cfg, seed, catalog)
+    stream = generate_stream(net, cfg, seed)
     if compare is None:
         compare = cfg.n_requests - cfg.warmup
     state = NetworkState.fresh(net)
@@ -428,16 +418,13 @@ def run_scalability(
     ep2_sizes: Sequence[int] = (1,),
     seed: int = 0,
     params: CostParams = CostParams(),
-    request_cfg: RequestGenConfig | None = None,
-    catalog: VsnfCatalog | None = None,
 ) -> list[ScalabilityRow]:
     """Time the heuristic across topology sizes and endpoint-set sizes.
 
     Requests are embedded back to back (accepted ones stay resident) on a
     fresh random network per point, and per-request wall times are reported.
     """
-    catalog = catalog or builtin_catalog()
-    base_cfg = request_cfg or RequestGenConfig()
+    catalog = builtin_catalog()
     rows = []
     for n_nodes, m in sizes:
         for ep2_size in ep2_sizes:
@@ -445,7 +432,7 @@ def run_scalability(
                 raise ValueError(f"ep2_size {ep2_size} too large for {n_nodes} nodes")
             net = generate_barabasi_albert(n_nodes, m, seed=seed)
             state = NetworkState.fresh(net)
-            cfg = replace(base_cfg, ep2_size=ep2_size)
+            cfg = RequestGenConfig(ep2_size=ep2_size)
             rng = random.Random(seed + 1)
             samples = []
             accepted = 0

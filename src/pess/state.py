@@ -47,9 +47,9 @@ class CostParams:
     delta: float = 1e-6
 
     def __post_init__(self) -> None:
-        if self.alpha < 0:
+        if not self.alpha >= 0:
             raise ValueError("alpha must be >= 0")
-        if self.delta <= 0:
+        if not self.delta > 0:
             raise ValueError("delta must be > 0")
 
 

@@ -73,14 +73,11 @@ class PhysicalLink:
 
 
 def default_node_profile(
-    node_id: NodeId,
-    name: str = "",
-    *,
-    cpu_capacity: int = DEFAULT_CPU_CAPACITY,
-    queuing_budget: float = DEFAULT_QUEUING_BUDGET,
+    node_id: NodeId, *, cpu_capacity: int = DEFAULT_CPU_CAPACITY
 ) -> PhysicalNode:
-    """Build a node with the default CPU capacity and queuing budget."""
-    return PhysicalNode(node_id, int(cpu_capacity), queuing_budget, name)
+    """Build a node with the default queuing budget and, unless given, the
+    default CPU capacity."""
+    return PhysicalNode(node_id, int(cpu_capacity), DEFAULT_QUEUING_BUDGET)
 
 
 class PhysicalNetwork:
@@ -201,17 +198,15 @@ def generate_barabasi_albert(
     m: int,
     seed: int,
     *,
-    distance_range_km: tuple[float, float] = (10.0, 100.0),
-    bandwidth: int = DEFAULT_LINK_BANDWIDTH,
     cpu_capacity: int = DEFAULT_CPU_CAPACITY,
-    queuing_budget: float = DEFAULT_QUEUING_BUDGET,
 ) -> PhysicalNetwork:
     """Random scale-free network with exactly ``m * n_nodes - m**2`` links.
 
     Barabási–Albert growth (Science 286, 1999) from an ``m``-leaf star, so the
-    result is always connected. Link distances are drawn uniformly from
-    ``distance_range_km`` and mapped to propagation delays; one seed fixes
-    both the attachment process and the distance draws. Draws and link order
+    result is always connected. Nodes get the default profile (with
+    ``cpu_capacity``) and links the default bandwidth. Link distances are
+    drawn uniformly from 10 to 100 km and mapped to propagation delays; one
+    seed fixes both the attachment process and the distance draws. Draws and link order
     match networkx 3.x's ``barabasi_albert_graph(n_nodes, m, seed=rng)``: as
     there, each node's targets join the degree list in ``set`` order, so the
     result depends on CPython's iteration order for sets of small ints.
@@ -222,9 +217,6 @@ def generate_barabasi_albert(
         raise TopologyError(
             f"need more than m={m} nodes to grow the attachment process, got {n_nodes}"
         )
-    lo, hi = distance_range_km
-    if lo < 0 or hi < lo:
-        raise TopologyError(f"bad distance range {distance_range_km}")
 
     rng = random.Random(seed)
     # Every node appears here once per incident link.
@@ -239,17 +231,12 @@ def generate_barabasi_albert(
         repeated.extend([source] * m)
     pairs.sort()
 
-    nodes = [
-        default_node_profile(
-            i, cpu_capacity=cpu_capacity, queuing_budget=queuing_budget
-        )
-        for i in range(n_nodes)
-    ]
+    nodes = [default_node_profile(i, cpu_capacity=cpu_capacity) for i in range(n_nodes)]
     links = []
     for link_id, (a, b) in enumerate(pairs):
-        distance = rng.uniform(lo, hi)
+        distance = rng.uniform(10.0, 100.0)
         links.append(
-            PhysicalLink(link_id, (a, b), int(bandwidth), propagation_delay(distance))
+            PhysicalLink(link_id, (a, b), DEFAULT_LINK_BANDWIDTH, propagation_delay(distance))
         )
     return PhysicalNetwork(nodes, links)
 
@@ -281,7 +268,8 @@ def _number(entry: Mapping, key: str, where: str, default: float | None = None,
             error: type[Exception] = TopologyError, kind: type = float) -> float:
     """``entry[key]``, or ``default``, as a finite ``kind``; else raise ``error``
     naming ``where`` and ``key``. Strings that float() takes count, since YAML
-    1.1 reads ``5.0e6`` as one; ints convert exactly.
+    1.1 reads ``5.0e6`` as one; ints convert exactly, and an int ``kind``
+    refuses a fractional value rather than truncate it.
     """
     value = entry.get(key, default)
     try:
@@ -290,7 +278,11 @@ def _number(entry: Mapping, key: str, where: str, default: float | None = None,
         number = math.nan
     if isinstance(value, bool) or not math.isfinite(number):
         raise error(f"{where}: '{key}' must be a finite number, got {value!r}")
-    return kind(value if isinstance(value, int) else number)
+    if isinstance(value, int):
+        return kind(value)
+    if kind is int and not number.is_integer():
+        raise error(f"{where}: '{key}' must be a whole number, got {value!r}")
+    return kind(number)
 
 
 def load_topology(source: str | Path | Mapping) -> PhysicalNetwork:

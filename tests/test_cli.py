@@ -102,6 +102,19 @@ class TestErrors:
             (("--threads", "0", "scalability", "--sizes", "10:2"), "--threads"),
             (("bogus-command",), "bogus-command"),
             (("scalability", "--sizes", "10x2"), "NODES:M"),
+            # Values the configuration objects refuse.
+            (("--alpha", "-1", "embed", "--nodes", "8", "--request-file", "x.yaml"),
+             "error: alpha must be >= 0"),
+            (("--delta", "nan", "embed", "--nodes", "8", "--request-file", "x.yaml"),
+             "error: delta must be > 0"),
+            (("simulate", "--nodes", "8", "--loads", "-5"), "error: load_erlang must be > 0"),
+            (("simulate", "--nodes", "8", "--loads", "nan"), "error: load_erlang must be > 0"),
+            (("simulate", "--nodes", "8", "--loads", "5", "--requests", "10", "--warmup", "20"),
+             "error: warmup must be in [0, n_requests)"),
+            (("oracle", "--nodes", "6", "--request-file", "x.yaml", "--max-path-len", "-1"),
+             "error: max_path_len must be >= 0"),
+            (("oracle-gap", "--nodes", "6", "--load", "5", "--warmup", "20", "--requests", "10"),
+             "error: warmup must be in [0, n_requests)"),
         ],
     )
     def test_usage_errors(self, capsys, argv, needle):

@@ -63,6 +63,10 @@ class TestValidation:
             {"sigma": -1.0},
             {"pi": -0.1},
             {"direction": "sideways"},
+            {"lam": math.nan},
+            {"sigma": math.nan},
+            {"pi": math.nan},
+            {"beta": math.nan},
         ],
     )
     def test_bad_chain_fields(self, kwargs):
@@ -70,8 +74,10 @@ class TestValidation:
             chain(**kwargs)
 
     def test_bad_vsnf(self):
-        with pytest.raises(ServiceError):
-            VsnfSpec("broken", 0.0)
+        # An infinite gamma_u would overflow round() in cpu_demand.
+        for gamma_u in (0.0, math.nan, math.inf):
+            with pytest.raises(ServiceError):
+                VsnfSpec("broken", gamma_u)
 
     def test_empty_ep2(self):
         with pytest.raises(ServiceError, match="ep2"):
@@ -206,6 +212,8 @@ class TestGenerator:
             RequestGenConfig(chain_count=(0, 3))
         with pytest.raises(ServiceError):
             RequestGenConfig(latency_menu=())
+        with pytest.raises(ServiceError):
+            RequestGenConfig(latency_menu=(0.1, math.nan))
         with pytest.raises(ServiceError):
             RequestGenConfig(border_bias=1.5)
         with pytest.raises(ServiceError):
@@ -397,6 +405,36 @@ class TestRequestFromDoc:
                 )
                 for gamma_u in ("abc", math.nan)
             ],
+            # Node ids and group members are refused, not truncated, when
+            # they are not ints.
+            *[
+                ({**fields, "chains": [{"bandwidth": 1, "max_latency": 1}]}, needle)
+                for fields, needle in [
+                    ({"ep1": 1.7, "ep2": 1}, "ep1: expected an integer, got 1.7"),
+                    ({"ep1": True, "ep2": 1}, "ep1: expected an integer, got True"),
+                    ({"ep1": 0, "ep2": 2.9}, "ep2: expected an integer, got 2.9"),
+                    ({"ep1": 0, "ep2": [True, 2.9]}, "ep2[0]: expected an integer, got True"),
+                    ({"ep1": 0, "ep2": [1, 2.9]}, "ep2[1]: expected an integer, got 2.9"),
+                    ({"ep1": 0, "ep2": 1, "veto": 5}, "veto: expected a list, got 5"),
+                    ({"ep1": 0, "ep2": 1, "veto": [3.5]}, "veto[0]: expected an integer"),
+                    ({"ep1": 0, "ep2": 1, "stateful_groups": 5},
+                     "stateful_groups: expected a list, got 5"),
+                    ({"ep1": 0, "ep2": 1, "stateful_groups": [[[0, 0], [1.0, 0]]]},
+                     "stateful_groups[0][1][0]: expected an integer, got 1.0"),
+                    ({"ep1": 0, "ep2": 1, "stateful_groups": [[[0, 0], [1, 0, 2]]]},
+                     "stateful_groups[0][1]: expected a [chain, position] pair"),
+                ]
+            ],
+            (
+                {"vsnf_defs": ["dpi"], "ep1": 0, "ep2": 1,
+                 "chains": [{"bandwidth": 1, "max_latency": 1}]},
+                "vsnf_defs: expected a mapping, got ['dpi']",
+            ),
+            (
+                {"ep1": 0, "ep2": 1,
+                 "chains": [{"vsnfs": "snort", "bandwidth": 1, "max_latency": 1}]},
+                "chains[0].vsnfs: expected a list, got 'snort'",
+            ),
         ],
     )
     def test_located_errors(self, doc, needle):

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from pess.heuristic import pess_embed
@@ -40,6 +42,10 @@ class TestWorkloadConfig:
             WorkloadConfig(load_erlang=10, n_requests=100, warmup=100)
         with pytest.raises(ValueError):
             WorkloadConfig(load_erlang=10, mean_holding=0.0)
+        with pytest.raises(ValueError):
+            WorkloadConfig(load_erlang=math.nan)
+        with pytest.raises(ValueError):
+            WorkloadConfig(load_erlang=10, mean_holding=math.nan)
 
 
 class TestStream:

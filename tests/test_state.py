@@ -485,7 +485,6 @@ def test_embedding_round_trip():
 
 
 def test_cost_params_validation():
-    with pytest.raises(ValueError):
-        CostParams(alpha=-1.0)
-    with pytest.raises(ValueError):
-        CostParams(delta=0.0)
+    for kwargs in ({"alpha": -1.0}, {"delta": 0.0}, {"alpha": math.nan}, {"delta": math.nan}):
+        with pytest.raises(ValueError):
+            CostParams(**kwargs)

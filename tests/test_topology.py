@@ -241,6 +241,13 @@ class TestLoadTopology:
                     ({}, {"distance_km": "abc"}, "links[0]: 'distance_km'"),
                     ({}, {"distance_km": math.nan}, "links[0]: 'distance_km'"),
                     ({}, {"bandwidth": "fast", "delay": 0}, "links[0]: 'bandwidth'"),
+                    # Integer quantities are refused, not truncated, when fractional.
+                    ({"capacity": 1.7}, {"delay": 0},
+                     "nodes[0]: 'capacity' must be a whole number, got 1.7"),
+                    ({}, {"bandwidth": 2.5, "delay": 0},
+                     "links[0]: 'bandwidth' must be a whole number, got 2.5"),
+                    ({}, {"bandwidth": "2.5e0", "delay": 0},
+                     "links[0]: 'bandwidth' must be a whole number"),
                 ]
             ],
         ],
