@@ -28,7 +28,7 @@ from pess.service import (
 )
 from pess.simulator import WorkloadConfig, generate_stream, replay
 from pess.state import CostParams, NetworkState, embedding_cost, validate_embedding
-from pess.topology import PhysicalNetwork, generate_barabasi_albert
+from pess.topology import DEFAULT_CPU_CAPACITY, PhysicalNetwork, generate_barabasi_albert
 
 PARAMS = CostParams()
 
@@ -526,7 +526,8 @@ class TestPessEmbed:
 
 # SHA-256 over every outcome of test_decisions_pinned. A change to the
 # heuristic's decisions, costs, latencies or reasons changes it.
-DECISION_DIGEST = "856584ecd0188e8bb59e7ab0b8b3f4d5c1ceef46199e65f0aa7ced4353512df3"
+DECISION_DIGEST = "b80e7b3d1ade1910734337c17a474f989eeac6f9baacf9c55b8fc3fa9b07965e"
+FLAG_DECISION_DIGEST = "34ec42632dd50f82b6676ca6e26ac87780c4de1511128cd5c28913c9457ad38f"
 
 
 def _record(digest, out):
@@ -563,7 +564,7 @@ def _odd_requests(net, rng, count):
 
 def test_decisions_pinned():
     """Every pess_embed outcome of a seeded churn on a loaded BA(200,2)
-    and of odd requests on the state it leaves, under all scan options."""
+    and of odd requests on the state it leaves."""
     base = generate_barabasi_albert(200, 2, seed=4)
     net = PhysicalNetwork(base.nodes, base.links,
                           {"border": range(6), "dmz": range(6, 40, 3)})
@@ -572,13 +573,14 @@ def test_decisions_pinned():
     stream = generate_stream(net, WorkloadConfig(1000, 1000, 0, request_cfg=gen), 7)
     state = NetworkState.fresh(net)
     digest = hashlib.sha256()
+    flag_digest = hashlib.sha256()
     seen = {}
 
     def solve(idx, arrival):
         if idx % 4 == 0:
             for flags in ({"scan_descending": True}, {"expand_all_ep2": True}):
-                _record(digest, pess_embed(state, arrival.request, PARAMS,
-                                           register=False, **flags))
+                _record(flag_digest, pess_embed(state, arrival.request, PARAMS,
+                                                register=False, **flags))
         return pess_embed(state, arrival.request, PARAMS)
 
     for _, _, out in replay(state, stream, solve):
@@ -589,15 +591,23 @@ def test_decisions_pinned():
             for expand_all in (False, True):
                 out = pess_embed(state, req, PARAMS, register=False,
                                  scan_descending=descending, expand_all_ep2=expand_all)
-                _record(digest, out)
-                seen[out.reason] = seen.get(out.reason, 0) + 1
+                if descending or expand_all:
+                    _record(flag_digest, out)
+                else:
+                    _record(digest, out)
+                    seen[out.reason] = seen.get(out.reason, 0) + 1
     assert seen[None] > 500 and seen[REASON_INFEASIBLE] > 100
     assert digest.hexdigest() == DECISION_DIGEST
+    assert flag_digest.hexdigest() == FLAG_DECISION_DIGEST
 
 
 # SHA-256 over every outcome of test_detour_decisions_pinned, violations
-# included.
-DETOUR_DIGEST = "360462dc64ada3ee8fcf1cdfadf6c451f4ad84dd99d88dea3987fc1f396714db"
+# included, on each loaded state.
+DETOUR_DIGESTS = {
+    "loaded": "ea0bbf45be341728f55fafcd76ed7f5f2727a76434b69283b95979191ae8eb26",
+    "cpu-scarce": "65bc8c293feeb8f950246313e9de4fee49d0b5b4d2aadf62f22199011c47892d",
+}
+FLAG_DETOUR_DIGEST = "b15d7315d603a20955f25a282088a22f5027fb821f99cf3e8afe4e0b38b7a3c0"
 
 
 def _detour_requests(net, rng, count):
@@ -620,9 +630,10 @@ def _detour_requests(net, rng, count):
 
 
 @functools.cache
-def _loaded_ba300():
-    """BA(300,2) loaded by a churn of 900 arrivals; tests only read it."""
-    net = generate_barabasi_albert(300, 2, seed=9)
+def _loaded_ba300(cpu_capacity=DEFAULT_CPU_CAPACITY):
+    """BA(300,2) with ``cpu_capacity`` cycles/s per node, loaded by a churn
+    of 900 arrivals; tests only read it."""
+    net = generate_barabasi_albert(300, 2, seed=9, cpu_capacity=cpu_capacity)
     stream = generate_stream(net, WorkloadConfig(900, 900, 0), 5)
     state = NetworkState.fresh(net)
     for _ in replay(state, stream, lambda idx, arrival: pess_embed(state, arrival.request, PARAMS)):
@@ -632,8 +643,8 @@ def _loaded_ba300():
 
 def test_detour_decisions_pinned(monkeypatch):
     """Every pess_embed outcome of unpinned requests on a loaded BA(300,2),
-    under both scan orders and both detour anchorings."""
-    net, state = _loaded_ba300()
+    and on a CPU-scarce one (5e9 cycles/s per node instead of 6.72e10),
+    where far more of the accepted requests take a detour."""
     trees = []
 
     class CountingTree(_Tree):
@@ -642,29 +653,40 @@ def test_detour_decisions_pinned(monkeypatch):
             trees.append(self)
 
     monkeypatch.setattr(heuristic, "_Tree", CountingTree)
-    digest = hashlib.sha256()
-    expansions = detours = 0
-    for req in _detour_requests(net, random.Random(17), 150):
-        for descending in (False, True):
-            for expand_all in (False, True):
-                trees.clear()
-                out = pess_embed(state, req, PARAMS, register=False,
-                                 scan_descending=descending, expand_all_ep2=expand_all)
-                digest.update(repr((out.embedding.to_dict() if out.accepted else None,
-                                    repr(out.cost), out.chain_latencies, out.reason,
-                                    out.violation)).encode())
-                expansions += len(trees) > 1
-                if out.accepted:
-                    initial = _Tree(net, state.residual_beta, req.ep1,
-                                    req.total_bandwidth(), PARAMS.delta)
-                    initial.grow(req.ep2_set)
-                    on_initial = {node for t in req.ep2_set if initial.done[t]
-                                  for node in initial.path_to(t)[0]}
-                    hosts = {node for cemb in out.embedding.chains
-                             for segment in cemb.segments for node in segment}
-                    detours += not hosts <= on_initial
-    assert expansions > 300 and detours > 80
-    assert digest.hexdigest() == DETOUR_DIGEST
+    flag_digest = hashlib.sha256()
+    counts = {}
+    for name, cpu_capacity in (("loaded", DEFAULT_CPU_CAPACITY), ("cpu-scarce", 5 * 10**9)):
+        net, state = _loaded_ba300(cpu_capacity)
+        digest = hashlib.sha256()
+        expansions = accepted = detours = 0
+        for req in _detour_requests(net, random.Random(17), 150):
+            for descending in (False, True):
+                for expand_all in (False, True):
+                    trees.clear()
+                    out = pess_embed(state, req, PARAMS, register=False,
+                                     scan_descending=descending, expand_all_ep2=expand_all)
+                    (flag_digest if descending or expand_all else digest).update(
+                        repr((out.embedding.to_dict() if out.accepted else None,
+                              repr(out.cost), out.chain_latencies, out.reason,
+                              out.violation)).encode())
+                    if descending or expand_all:
+                        continue
+                    expansions += len(trees) > 1
+                    if out.accepted:
+                        accepted += 1
+                        initial = _Tree(net, state.residual_beta, req.ep1,
+                                        req.total_bandwidth(), PARAMS.delta)
+                        initial.grow(req.ep2_set)
+                        on_initial = {node for t in req.ep2_set if initial.done[t]
+                                      for node in initial.path_to(t)[0]}
+                        hosts = {node for cemb in out.embedding.chains
+                                 for segment in cemb.segments for node in segment}
+                        detours += not hosts <= on_initial
+        counts[name] = (expansions, accepted, detours)
+        assert digest.hexdigest() == DETOUR_DIGESTS[name]
+    assert counts["loaded"][0] > 60 and counts["loaded"][1] > 100
+    assert counts["cpu-scarce"][0] > 80 and counts["cpu-scarce"][2] > 15
+    assert flag_digest.hexdigest() == FLAG_DETOUR_DIGEST
 
 
 def test_detours_priced_only_when_reached(monkeypatch):
