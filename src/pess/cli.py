@@ -174,22 +174,13 @@ def _load_request(request_file: str):
 @cli.command()
 @_topology_options
 @click.option("--request-file", required=True, help="Service request document.")
-@click.option("--scan-order", type=click.Choice(["ascending", "descending"]),
-              default="ascending", show_default=True,
-              help="Order in which candidate solutions are tried by cost.")
-@click.option("--expand-all-ep2", is_flag=True,
-              help="Grow detour paths toward every reachable remote endpoint.")
 @click.pass_obj
-def embed(obj: dict, request_file: str, scan_order: str, expand_all_ep2: bool, **topo) -> None:
+def embed(obj: dict, request_file: str, **topo) -> None:
     """Embed one request on a fresh network and print the result."""
     net = _build_network(obj, **topo)
     request = _load_request(request_file)
     state = NetworkState.fresh(net)
-    outcome = pess_embed(
-        state, request, obj["params"],
-        scan_descending=scan_order == "descending",
-        expand_all_ep2=expand_all_ep2,
-    )
+    outcome = pess_embed(state, request, obj["params"])
     if not outcome.accepted:
         raise _Rejected(outcome.reason, outcome.violation)
     click.echo(f"cost: {outcome.cost:.6g}")

@@ -5,9 +5,9 @@ endpoint until the candidate remote endpoints are settled; their tree paths
 are the initial candidates. A detour round follows when some node beyond
 those paths has residual CPU that strictly beats everything they touch: the
 user-side tree is grown on toward those nodes, and one tree is grown from
-the detour anchor (the remote end of the best feasible initial path, or
-every reachable remote endpoint) toward them. Each such node ``via`` gives
-one detour: the user tree's path to it, then the anchor tree's path back.
+the detour anchor (the remote end of the best feasible initial path) toward
+them. Each such node ``via`` gives one detour: the user tree's path to it,
+then the anchor tree's path back.
 
 Candidates are scanned best-first, in ``(cost, len(path), path)`` order,
 from one heap; the first that places, passes its checks and breaks no
@@ -15,14 +15,12 @@ running chain wins. Initial paths enter it priced exactly. A detour enters
 it with a lower bound of its cost from per-tree prefix sums
 (``detour_bounds``), and is walked out of the trees and priced only when
 that bound pops; the scan order, and so the decision, is the one a full
-sort of every priced path would give. A descending scan drains the same
-heap, which prices every detour, and checks the paths in reverse.
+sort of every priced path would give.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -365,8 +363,6 @@ def pess_embed(
     params: CostParams = CostParams(),
     *,
     register: bool = True,
-    scan_descending: bool = False,
-    expand_all_ep2: bool = False,
 ) -> EmbedOutcome:
     """Try to embed one service request on the current network state.
 
@@ -377,12 +373,7 @@ def pess_embed(
     its cost, and is walked out of the trees and priced only when the scan
     reaches that bound.
 
-    ``register=False`` evaluates without committing. ``scan_descending``
-    tries expensive candidates first (kept for comparison runs): it drains
-    the same scan, pricing every detour, and checks the paths in reverse.
-    ``expand_all_ep2`` anchors detour paths at every reachable remote
-    endpoint instead of only the remote end of the best feasible initial
-    path, at the price of one more tree per endpoint.
+    ``register=False`` evaluates without committing.
     """
     net = state.net
     validate_request_nodes(net, req)
@@ -394,12 +385,10 @@ def pess_embed(
     if not reached:
         return EmbedOutcome(None, reason=REASON_NO_ROUTE)
 
-    # Scan heap: priced paths as (cost, 1, len(path), path, seq) and detour
-    # bounds as (bound, 0, seq, remote tree, via). At equal value a bound
-    # pops first; seq keeps trees out of the comparison. Each path is built
-    # and checked at most once.
+    # Scan heap: priced paths as (cost, 1, len(path), path) and detour
+    # bounds as (bound, 0, via). At equal value a bound pops first. Each
+    # path is built and checked at most once.
     heap: list[tuple] = []
-    seq = itertools.count()
     checked: dict[tuple[NodeId, ...], tuple[EmbedOutcome | None, str | None]] = {}
     unplaced: str | None = None
 
@@ -409,7 +398,7 @@ def pess_embed(
         if placement is None:
             unplaced = unplaced or code
         else:
-            heapq.heappush(heap, (placement[1], 1, len(path), path, next(seq)))
+            heapq.heappush(heap, (placement[1], 1, len(path), path))
 
     def detour(remote: _Tree, via: NodeId) -> None:
         head, head_arcs = user.path_to(via)
@@ -439,43 +428,35 @@ def pess_embed(
         and state.residual_gamma[node] > max_seen
     }
     if expansion:
-        if expand_all_ep2:
-            anchors = reached
-        else:
-            # Anchor at the remote end of the cheapest initial path that
-            # places; failing that, at the remote endpoint whose path was
-            # cheapest, so the expansion can still rescue the request.
-            anchors = [min(reached, key=lambda t: (user.dist[t], t))]
-            for entry in sorted(heap):
-                if check(entry[3])[0] is not None:
-                    anchors = [entry[3][-1]]
-                    break
+        # Anchor at the remote end of the cheapest initial path that places;
+        # failing that, at the remote endpoint whose path was cheapest, so
+        # the expansion can still rescue the request.
+        anchor = min(reached, key=lambda t: (user.dist[t], t))
+        for entry in sorted(heap):
+            if check(entry[3])[0] is not None:
+                anchor = entry[3][-1]
+                break
         user.grow(expansion)
-        for anchor in anchors:
-            remote = _Tree(net, state.residual_beta, anchor, beta_bar, params.delta)
-            remote.grow(expansion)
-            vias = [
-                via
-                for via in sorted(expansion)
-                if not math.isinf(user.dist[via]) and not math.isinf(remote.dist[via])
-            ]
-            for via, bound in zip(vias, detour_bounds(state, req, params, user, remote, vias)):
-                heapq.heappush(heap, (bound, 0, next(seq), remote, via))
+        remote = _Tree(net, state.residual_beta, anchor, beta_bar, params.delta)
+        remote.grow(expansion)
+        vias = [
+            via
+            for via in sorted(expansion)
+            if not math.isinf(user.dist[via]) and not math.isinf(remote.dist[via])
+        ]
+        for via, bound in zip(vias, detour_bounds(state, req, params, user, remote, vias)):
+            heapq.heappush(heap, (bound, 0, via))
 
-    def scan():
-        """Candidate paths in ascending scan order; a popped bound is
-        replaced by its priced detour, which pops once nothing cheaper is
-        left. Paths tied on ``(cost, len(path), path)`` are the same path."""
-        while heap:
-            entry = heapq.heappop(heap)
-            if entry[1]:
-                yield entry[3]
-            else:
-                detour(entry[3], entry[4])
-
+    # Best-first scan: a popped bound is replaced by its priced detour, which
+    # pops once nothing cheaper is left. Paths tied on (cost, len(path), path)
+    # are the same path.
     violation = None
-    for path in reversed(list(scan())) if scan_descending else scan():
-        outcome, code = check(path)
+    while heap:
+        entry = heapq.heappop(heap)
+        if not entry[1]:
+            detour(remote, entry[2])
+            continue
+        outcome, code = check(entry[3])
         if outcome is None:
             violation = violation or code
             continue

@@ -23,6 +23,7 @@ from .heuristic import EmbedOutcome, pess_embed
 from .oracle import OracleBudgetExceeded, OracleConfig, exact_embed
 from .service import (
     RequestGenConfig,
+    ServiceError,
     ServiceRequest,
     baseline_request,
     builtin_catalog,
@@ -46,14 +47,14 @@ class WorkloadConfig:
     request_cfg: RequestGenConfig = field(default_factory=RequestGenConfig)
 
     def __post_init__(self) -> None:
-        if not self.load_erlang > 0:
-            raise ValueError("load_erlang must be > 0")
+        if not 0 < self.load_erlang < math.inf:
+            raise ValueError("load_erlang must be > 0 and finite")
         if self.n_requests < 1:
             raise ValueError("n_requests must be >= 1")
         if not 0 <= self.warmup < self.n_requests:
             raise ValueError("warmup must be in [0, n_requests)")
-        if not self.mean_holding > 0:
-            raise ValueError("mean_holding must be > 0")
+        if not 0 < self.mean_holding < math.inf:
+            raise ValueError("mean_holding must be > 0 and finite")
 
 
 @dataclass(frozen=True)
@@ -101,24 +102,7 @@ class Metrics:
     active_services: float
     mean_chain_latency: float | None
     delay_ratio_vs: float | None
-    embed_time: EmbedTimeStats
     stream_checksum: str
-
-    def deterministic_fields(self) -> tuple:
-        """Everything except wall-clock timings, for reproducibility checks."""
-        return (
-            self.load,
-            self.solver,
-            self.offered,
-            self.accepted,
-            self.rejected,
-            self.blocking_probability,
-            self.consumed_cpu_fraction,
-            tuple(sorted(self.consumed_cpu_by_region.items())),
-            self.active_services,
-            self.mean_chain_latency,
-            self.stream_checksum,
-        )
 
 
 def generate_stream(net: PhysicalNetwork, cfg: WorkloadConfig, seed: int) -> list[Arrival]:
@@ -216,7 +200,6 @@ def _run(
     accepted = rejected = 0
     latency_sum = 0.0
     latency_count = 0
-    embed_times: list[float] = []
 
     def snapshot(now: float) -> None:
         values = {
@@ -233,11 +216,7 @@ def _run(
         request = arrival.request
         if solver == SOLVER_BASELINE:
             request = baseline_request(request)
-        started = time.perf_counter()
-        outcome = pess_embed(state, request, params)
-        if idx >= cfg.warmup:
-            embed_times.append(time.perf_counter() - started)
-        return outcome
+        return pess_embed(state, request, params)
 
     for idx, _, outcome in replay(state, stream, solve, snapshot):
         if idx < cfg.warmup:
@@ -264,7 +243,6 @@ def _run(
         active_services=window.mean("active"),
         mean_chain_latency=(latency_sum / latency_count) if latency_count else None,
         delay_ratio_vs=None,
-        embed_time=EmbedTimeStats.from_samples(embed_times),
         stream_checksum=checksum,
     )
 
@@ -424,12 +402,14 @@ def run_scalability(
     Requests are embedded back to back (accepted ones stay resident) on a
     fresh random network per point, and per-request wall times are reported.
     """
+    for n_nodes, _ in sizes:
+        for ep2_size in ep2_sizes:
+            if ep2_size >= n_nodes:
+                raise ServiceError(f"ep2_size {ep2_size} too large for {n_nodes} nodes")
     catalog = builtin_catalog()
     rows = []
     for n_nodes, m in sizes:
         for ep2_size in ep2_sizes:
-            if ep2_size >= n_nodes:
-                raise ValueError(f"ep2_size {ep2_size} too large for {n_nodes} nodes")
             net = generate_barabasi_albert(n_nodes, m, seed=seed)
             state = NetworkState.fresh(net)
             cfg = RequestGenConfig(ep2_size=ep2_size)

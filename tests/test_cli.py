@@ -83,13 +83,6 @@ class TestEmbed:
             assert code == 0
             assert "cost:" in out
 
-    def test_scan_order_flag(self, capsys, request_file):
-        code, out, _ = run(
-            capsys, "embed", "--topology", "ba", "--nodes", "8",
-            "--request-file", request_file, "--scan-order", "descending",
-        )
-        assert code == 0
-
 
 class TestErrors:
     @pytest.mark.parametrize(
@@ -115,6 +108,10 @@ class TestErrors:
              "error: max_path_len must be >= 0"),
             (("oracle-gap", "--nodes", "6", "--load", "5", "--warmup", "20", "--requests", "10"),
              "error: warmup must be in [0, n_requests)"),
+            (("simulate", "--nodes", "8", "--loads", "inf"),
+             "error: load_erlang must be > 0 and finite"),
+            (("scalability", "--sizes", "10:2", "--ep2-sizes", "20"),
+             "error: ep2_size 20 too large for 10 nodes"),
         ],
     )
     def test_usage_errors(self, capsys, argv, needle):

@@ -396,10 +396,8 @@ class TestPessEmbed:
         net = build_net([100, 100, 10**10], [(0, 1), (0, 2, {"delay": 0.3}), (2, 1)])
         state = NetworkState.fresh(net)
         req = request(0, [1], chain(vsnf(), beta=10**6, lam=0.2))
-        ascending = pess_embed(state, req, PARAMS)
-        descending = pess_embed(state, req, PARAMS, scan_descending=True)
-        assert (ascending.reason, ascending.violation) == (REASON_INFEASIBLE, "latency")
-        assert (descending.reason, descending.violation) == (REASON_INFEASIBLE, "node-capacity")
+        out = pess_embed(state, req, PARAMS)
+        assert (out.reason, out.violation) == (REASON_INFEASIBLE, "latency")
 
     def test_register_false_leaves_state(self):
         net = path_net([10**10] * 3)
@@ -450,35 +448,6 @@ class TestPessEmbed:
         assert out.accepted
         assert out.embedding.chains[0].vsnf_nodes == (2,)
 
-    def test_scan_descending_costs_at_least_ascending(self):
-        net = build_net(
-            [10**10, 10**10, 50 * 10**10],
-            [(0, 1), (0, 2), (2, 1)],
-        )
-        for _ in range(3):
-            state = NetworkState.fresh(net)
-            req = request(0, [1], chain(vsnf(), beta=10**6, lam=0.4))
-            up = pess_embed(state, req, PARAMS, register=False, scan_descending=True)
-            down = pess_embed(state, req, PARAMS, register=False)
-            assert up.accepted and down.accepted
-            assert up.cost >= down.cost
-
-    def test_expand_all_ep2_no_worse(self):
-        net = generate_barabasi_albert(20, 2, seed=5)
-        rng = random.Random(13)
-        cfg = RequestGenConfig(ep2_size=3)
-        hits = 0
-        for _ in range(40):
-            req = generate_request(net, builtin_catalog(), cfg, rng)
-            state = NetworkState.fresh(net)
-            base = pess_embed(state, req, PARAMS, register=False)
-            wide = pess_embed(state, req, PARAMS, register=False, expand_all_ep2=True)
-            if base.accepted:
-                hits += 1
-                assert wide.accepted
-                assert wide.cost <= base.cost + 1e-12
-        assert hits > 20
-
     def test_ep1_in_ep2_degenerate(self):
         net = path_net([10**10] * 2)
         state = NetworkState.fresh(net)
@@ -527,7 +496,6 @@ class TestPessEmbed:
 # SHA-256 over every outcome of test_decisions_pinned. A change to the
 # heuristic's decisions, costs, latencies or reasons changes it.
 DECISION_DIGEST = "b80e7b3d1ade1910734337c17a474f989eeac6f9baacf9c55b8fc3fa9b07965e"
-FLAG_DECISION_DIGEST = "34ec42632dd50f82b6676ca6e26ac87780c4de1511128cd5c28913c9457ad38f"
 
 
 def _record(digest, out):
@@ -573,32 +541,19 @@ def test_decisions_pinned():
     stream = generate_stream(net, WorkloadConfig(1000, 1000, 0, request_cfg=gen), 7)
     state = NetworkState.fresh(net)
     digest = hashlib.sha256()
-    flag_digest = hashlib.sha256()
     seen = {}
 
     def solve(idx, arrival):
-        if idx % 4 == 0:
-            for flags in ({"scan_descending": True}, {"expand_all_ep2": True}):
-                _record(flag_digest, pess_embed(state, arrival.request, PARAMS,
-                                                register=False, **flags))
         return pess_embed(state, arrival.request, PARAMS)
 
-    for _, _, out in replay(state, stream, solve):
+    outcomes = [out for _, _, out in replay(state, stream, solve)]
+    outcomes += [pess_embed(state, req, PARAMS, register=False)
+                 for req in _odd_requests(net, random.Random(11), 150)]
+    for out in outcomes:
         _record(digest, out)
         seen[out.reason] = seen.get(out.reason, 0) + 1
-    for req in _odd_requests(net, random.Random(11), 150):
-        for descending in (False, True):
-            for expand_all in (False, True):
-                out = pess_embed(state, req, PARAMS, register=False,
-                                 scan_descending=descending, expand_all_ep2=expand_all)
-                if descending or expand_all:
-                    _record(flag_digest, out)
-                else:
-                    _record(digest, out)
-                    seen[out.reason] = seen.get(out.reason, 0) + 1
     assert seen[None] > 500 and seen[REASON_INFEASIBLE] > 100
     assert digest.hexdigest() == DECISION_DIGEST
-    assert flag_digest.hexdigest() == FLAG_DECISION_DIGEST
 
 
 # SHA-256 over every outcome of test_detour_decisions_pinned, violations
@@ -607,7 +562,6 @@ DETOUR_DIGESTS = {
     "loaded": "ea0bbf45be341728f55fafcd76ed7f5f2727a76434b69283b95979191ae8eb26",
     "cpu-scarce": "65bc8c293feeb8f950246313e9de4fee49d0b5b4d2aadf62f22199011c47892d",
 }
-FLAG_DETOUR_DIGEST = "b15d7315d603a20955f25a282088a22f5027fb821f99cf3e8afe4e0b38b7a3c0"
 
 
 def _detour_requests(net, rng, count):
@@ -653,40 +607,32 @@ def test_detour_decisions_pinned(monkeypatch):
             trees.append(self)
 
     monkeypatch.setattr(heuristic, "_Tree", CountingTree)
-    flag_digest = hashlib.sha256()
     counts = {}
     for name, cpu_capacity in (("loaded", DEFAULT_CPU_CAPACITY), ("cpu-scarce", 5 * 10**9)):
         net, state = _loaded_ba300(cpu_capacity)
         digest = hashlib.sha256()
         expansions = accepted = detours = 0
         for req in _detour_requests(net, random.Random(17), 150):
-            for descending in (False, True):
-                for expand_all in (False, True):
-                    trees.clear()
-                    out = pess_embed(state, req, PARAMS, register=False,
-                                     scan_descending=descending, expand_all_ep2=expand_all)
-                    (flag_digest if descending or expand_all else digest).update(
-                        repr((out.embedding.to_dict() if out.accepted else None,
-                              repr(out.cost), out.chain_latencies, out.reason,
-                              out.violation)).encode())
-                    if descending or expand_all:
-                        continue
-                    expansions += len(trees) > 1
-                    if out.accepted:
-                        accepted += 1
-                        initial = _Tree(net, state.residual_beta, req.ep1,
-                                        req.total_bandwidth(), PARAMS.delta)
-                        initial.grow(req.ep2_set)
-                        on_initial = {node for t in req.ep2_set if initial.done[t]
-                                      for node in initial.path_to(t)[0]}
-                        hosts = {node for cemb in out.embedding.chains
-                                 for segment in cemb.segments for node in segment}
-                        detours += not hosts <= on_initial
+            trees.clear()
+            out = pess_embed(state, req, PARAMS, register=False)
+            digest.update(repr((out.embedding.to_dict() if out.accepted else None,
+                                repr(out.cost), out.chain_latencies, out.reason,
+                                out.violation)).encode())
+            expansions += len(trees) > 1
+            if out.accepted:
+                accepted += 1
+                initial = _Tree(net, state.residual_beta, req.ep1,
+                                req.total_bandwidth(), PARAMS.delta)
+                initial.grow(req.ep2_set)
+                on_initial = {node for t in req.ep2_set if initial.done[t]
+                              for node in initial.path_to(t)[0]}
+                hosts = {node for cemb in out.embedding.chains
+                         for segment in cemb.segments for node in segment}
+                detours += not hosts <= on_initial
         counts[name] = (expansions, accepted, detours)
         assert digest.hexdigest() == DETOUR_DIGESTS[name]
     assert counts["loaded"][0] > 60 and counts["loaded"][1] > 100
     assert counts["cpu-scarce"][0] > 80 and counts["cpu-scarce"][2] > 15
-    assert flag_digest.hexdigest() == FLAG_DETOUR_DIGEST
 
 
 def test_detours_priced_only_when_reached(monkeypatch):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -46,6 +47,10 @@ class TestWorkloadConfig:
             WorkloadConfig(load_erlang=math.nan)
         with pytest.raises(ValueError):
             WorkloadConfig(load_erlang=10, mean_holding=math.nan)
+        with pytest.raises(ValueError):
+            WorkloadConfig(load_erlang=math.inf)
+        with pytest.raises(ValueError):
+            WorkloadConfig(load_erlang=5, mean_holding=math.inf)
 
 
 class TestStream:
@@ -105,14 +110,13 @@ class TestRunSimulation:
         assert metrics.blocking_probability == 0.0
         assert 0.0 < metrics.consumed_cpu_fraction < 1.0
         assert metrics.mean_chain_latency > 0.0
-        assert metrics.embed_time.mean > 0.0
 
     def test_deterministic_fields_stable_across_runs(self):
         net = generate_barabasi_albert(12, 2, seed=0)
         cfg = small_cfg(30)
         a = run_simulation(net, cfg, seed=7)
         b = run_simulation(net, cfg, seed=7)
-        assert a.deterministic_fields() == b.deterministic_fields()
+        assert a == b
         c = run_simulation(net, cfg, seed=8)
         assert a.stream_checksum != c.stream_checksum
 
@@ -154,12 +158,8 @@ class TestTwin:
         cfg = small_cfg(30, chain_count=(1, 1), vsnfs_per_chain=(0, 0))
         report = run_twin_comparison(net, cfg, seed=5)
         assert report.delay_ratio == 1.0
-        pess = report.pess.deterministic_fields()
-        base = report.baseline.deterministic_fields()
         # Same numbers, different solver tag.
-        assert [f for f in pess if f != "pess"] == [
-            f for f in base if f != "baseline-pess"
-        ]
+        assert replace(report.baseline, solver="pess", delay_ratio_vs=None) == report.pess
 
     def test_contention_favours_pess(self):
         net = generate_barabasi_albert(20, 2, seed=0)
