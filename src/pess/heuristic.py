@@ -27,12 +27,14 @@ from dataclasses import dataclass, replace
 from .service import UP, ServiceRequest
 from .state import (
     ChainEmbedding,
+    ChainLoad,
     CostParams,
     Embedding,
     NetworkState,
     chain_latency,
     cpu_demand,
     recheck_operational,
+    request_demands,
     validate_request_nodes,
 )
 from .topology import NodeId, PhysicalNetwork
@@ -60,6 +62,7 @@ class EmbedOutcome:
     embedding: Embedding | None
     cost: float | None = None
     chain_latencies: tuple[float, ...] = ()
+    loads: tuple[ChainLoad, ...] = ()  # what was checked, and so what registers
     service_id: int | None = None
     reason: str | None = None
     violation: str | None = None
@@ -298,7 +301,8 @@ def check_placement(
     params: CostParams,
 ) -> tuple[EmbedOutcome | None, str | None]:
     """Costly half of ``place_on_path``: build the embedding of a priced
-    placement and run the stateful, capacity and latency checks."""
+    placement and its chains' loads, and run the stateful, capacity and
+    latency checks; the outcome carries the loads for ``register``."""
     net = state.net
     hosts_by_chain, cost = placement
     ep1, ep2 = path[0], path[-1]
@@ -323,19 +327,23 @@ def check_placement(
         hosts = {emb.chains[c].vsnf_nodes[p] for c, p in group}
         if len(hosts) != 1:
             return None, "stateful"
+    # Node capacity, the usual failure near CPU saturation, needs neither
+    # arcs nor delays, so it is checked before the loads are built.
     for node, demand in emb.cpu_demands(req).items():
         if demand > state.residual_gamma[node]:
             return None, "node-capacity"
-    for arc, demand in emb.bw_demands(req, net).items():
+    loads = emb.loads(req, net)
+    _, bw = request_demands(loads)
+    for arc, demand in bw.items():
         if demand > state.residual_beta[arc]:
             return None, "link-capacity"
     latencies = []
-    for cemb, chain in zip(emb.chains, req.chains):
-        latency = chain_latency(state, cemb, chain, net, params.delta)
-        if latency > chain.lambda_max:
+    for load in loads:
+        latency = chain_latency(state, load, params.delta)
+        if latency > load.chain.lambda_max:
             return None, "latency"
         latencies.append(latency)
-    return EmbedOutcome(emb, cost, tuple(latencies)), None
+    return EmbedOutcome(emb, cost, tuple(latencies), loads=loads), None
 
 
 def place_on_path(
@@ -463,7 +471,8 @@ def pess_embed(
         if recheck_operational(state, outcome.embedding, req, params).ok:
             if not register:
                 return outcome
-            return replace(outcome, service_id=state.register(outcome.embedding, req, params))
+            service_id = state.register(outcome.embedding, req, params, outcome.loads)
+            return replace(outcome, service_id=service_id)
         violation = violation or "op-latency"
     # No path ranked at all: name what stopped the first one from placing.
     return EmbedOutcome(None, reason=REASON_INFEASIBLE, violation=violation or unplaced)

@@ -105,10 +105,8 @@ def objective_value(
     if objective == ACTIVE_NODES:
         return float(len(emb.hosting_nodes()))
     if objective == MIN_LATENCY:
-        return sum(
-            chain_latency(state, cemb, chain, state.net, params.delta)
-            for cemb, chain in zip(emb.chains, req.chains)
-        )
+        loads = emb.loads(req, state.net)
+        return sum(chain_latency(state, load, params.delta) for load in loads)
     raise ValueError(f"unknown objective {objective!r}")
 
 

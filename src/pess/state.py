@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .service import UP, Chain, ServiceError, ServiceRequest
-from .topology import NodeId, PhysicalNetwork
+from .topology import NodeId, PhysicalNetwork, TopologyError
 
 
 class CapacityError(ValueError):
@@ -108,32 +108,14 @@ class Embedding:
                 demands[node] = demands.get(node, 0) + cpu_demand(spec.gamma_u, chain.beta_req)
         return demands
 
-    def bw_demands(self, req: ServiceRequest, net: PhysicalNetwork) -> dict[int, int]:
-        demands: dict[int, int] = {}
-        for cemb, chain in zip(self.chains, req.chains):
-            for arc in cemb.arcs(net):
-                demands[arc] = demands.get(arc, 0) + chain.beta_req
-        return demands
+    def loads(self, req: ServiceRequest, net: PhysicalNetwork) -> tuple[ChainLoad, ...]:
+        return tuple(ChainLoad.of(c, chain, net) for c, chain in zip(self.chains, req.chains))
 
     def hosting_nodes(self) -> frozenset[NodeId]:
         return frozenset(n for cemb in self.chains for n in cemb.vsnf_nodes)
 
     def to_dict(self) -> dict:
         return {"chains": [cemb.to_dict() for cemb in self.chains]}
-
-    @classmethod
-    def from_dict(cls, doc: Mapping) -> "Embedding":
-        return cls(
-            tuple(
-                ChainEmbedding(
-                    src=entry["src"],
-                    dst=entry["dst"],
-                    vsnf_nodes=tuple(entry["vsnf_nodes"]),
-                    segments=tuple(tuple(seg) for seg in entry["segments"]),
-                )
-                for entry in doc["chains"]
-            )
-        )
 
 
 # -- delay model -------------------------------------------------------------
@@ -184,29 +166,59 @@ def chain_fixed_delay(cemb: ChainEmbedding, chain: Chain, net: PhysicalNetwork) 
     return total
 
 
-def chain_latency(
-    state: "NetworkState",
-    cemb: ChainEmbedding,
-    chain: Chain,
-    net: PhysicalNetwork,
-    delta: float,
-) -> float:
-    """End-to-end latency of a chain against pre-acceptance residuals."""
-    total = chain_fixed_delay(cemb, chain, net)
-    for node, spec in zip(cemb.vsnf_nodes, chain.vsnfs):
-        total += processing_delay(
-            spec.gamma_u,
-            chain.sigma,
-            state.residual_gamma[node],
-            cpu_demand(spec.gamma_u, chain.beta_req),
-            delta,
-        )
+@dataclass(frozen=True)
+class ChainLoad:
+    """What one embedded chain draws from the network, worked out once.
+
+    ``check_placement`` builds these for a candidate and checks them, and
+    ``NetworkState.register`` commits the same objects, so what is checked
+    is what is registered.
+    """
+
+    emb: ChainEmbedding
+    chain: Chain
+    arcs: tuple[int, ...]  # traversed arc indices, with multiplicity
+    fixed_delay: float  # chain_fixed_delay
+    cpu_by_node: tuple[tuple[NodeId, int], ...]  # hosts in order of first use
+    vsnfs: tuple[tuple[NodeId, float, int], ...]  # (host, cycles/packet, demand)
+
+    @classmethod
+    def of(cls, cemb: ChainEmbedding, chain: Chain, net: PhysicalNetwork) -> "ChainLoad":
+        cpu: dict[NodeId, int] = {}
+        vsnfs = []
+        for node, spec in zip(cemb.vsnf_nodes, chain.vsnfs):
+            demand = cpu_demand(spec.gamma_u, chain.beta_req)
+            cpu[node] = cpu.get(node, 0) + demand
+            vsnfs.append((node, spec.gamma_u * chain.sigma, demand))
+        arcs = tuple(cemb.arcs(net))
+        fixed_delay = chain_fixed_delay(cemb, chain, net)
+        return cls(cemb, chain, arcs, fixed_delay, tuple(cpu.items()), tuple(vsnfs))
+
+
+def request_demands(loads: tuple[ChainLoad, ...]) -> tuple[dict[NodeId, int], dict[int, int]]:
+    """A request's CPU demand per node and bandwidth demand per arc."""
+    cpu: dict[NodeId, int] = {}
+    bw: dict[int, int] = {}
+    for load in loads:
+        for node, demand in load.cpu_by_node:
+            cpu[node] = cpu.get(node, 0) + demand
+        beta = load.chain.beta_req
+        for arc in load.arcs:
+            bw[arc] = bw.get(arc, 0) + beta
+    return cpu, bw
+
+
+def chain_latency(state: "NetworkState", load: ChainLoad, delta: float) -> float:
+    """End-to-end latency of a chain against pre-acceptance residuals: the
+    fixed delay, then ``processing_delay``'s terms in VSNF order."""
+    residual_gamma = state.residual_gamma
+    total = load.fixed_delay
+    for node, cycles_per_packet, demand in load.vsnfs:
+        total += cycles_per_packet / ((residual_gamma[node] - demand) + delta)
     return total
 
 
-def gamma_threshold(
-    chain: Chain, cemb: ChainEmbedding, net: PhysicalNetwork, delta: float
-) -> float:
+def gamma_threshold(chain: Chain, fixed_delay: float, delta: float) -> float:
     """Residual CPU below which the chain's latency bound would break.
 
     This is the average residual each hosting node must keep for the chain's
@@ -214,7 +226,7 @@ def gamma_threshold(
     terms. Infinity flags a chain whose fixed terms alone exhaust the budget.
     """
     cycles_per_packet = sum(spec.gamma_u * chain.sigma for spec in chain.vsnfs)
-    budget = chain.lambda_max - chain_fixed_delay(cemb, chain, net)
+    budget = chain.lambda_max - fixed_delay
     if budget <= 0.0:
         return math.inf
     return cycles_per_packet / budget - delta
@@ -262,13 +274,8 @@ class OperationalChain:
 
     chain_id: int
     service_id: int
-    chain: Chain
-    emb: ChainEmbedding
+    load: ChainLoad
     threshold: float  # guard value: minimum viable average residual CPU
-    fixed_delay: float
-    cpu_by_node: dict[NodeId, int]
-    processing_terms: tuple[tuple[NodeId, float], ...]  # (host, cycles/packet)
-    arcs: tuple[int, ...]  # traversed arc indices, with multiplicity
 
 
 @dataclass(frozen=True)
@@ -299,9 +306,8 @@ class NetworkState:
 
     # -- resource accounting ------------------------------------------------
 
-    def _debit(self, emb: Embedding, req: ServiceRequest) -> None:
-        cpu = emb.cpu_demands(req)
-        bw = emb.bw_demands(req, self.net)
+    def _debit(self, loads: tuple[ChainLoad, ...]) -> None:
+        cpu, bw = request_demands(loads)
         for node, demand in cpu.items():
             if demand > self.residual_gamma[node]:
                 raise CapacityError(
@@ -324,39 +330,31 @@ class NetworkState:
         emb: Embedding,
         req: ServiceRequest,
         params: CostParams,
+        loads: tuple[ChainLoad, ...] | None = None,
     ) -> int:
-        """Debit resources and append the chains to the operational ledger."""
-        self._debit(emb, req)
+        """Debit resources and append the chains to the operational ledger.
+
+        ``loads`` are ``emb.loads(req, self.net)``, built here unless the
+        caller passes the ones it checked, as ``pess_embed`` does.
+        """
+        if loads is None:
+            loads = emb.loads(req, self.net)
+        self._debit(loads)
         service_id = self._next_service_id
         self._next_service_id += 1
         chain_ids = []
-        for cemb, chain in zip(emb.chains, req.chains):
+        for load in loads:
             chain_id = self._next_chain_id
             self._next_chain_id += 1
             chain_ids.append(chain_id)
-            cpu_by_node: dict[NodeId, int] = {}
-            terms = []
-            for node, spec in zip(cemb.vsnf_nodes, chain.vsnfs):
-                cpu_by_node[node] = cpu_by_node.get(node, 0) + cpu_demand(
-                    spec.gamma_u, chain.beta_req
-                )
-                terms.append((node, spec.gamma_u * chain.sigma))
-            record = OperationalChain(
-                chain_id=chain_id,
-                service_id=service_id,
-                chain=chain,
-                emb=cemb,
-                threshold=gamma_threshold(chain, cemb, self.net, params.delta),
-                fixed_delay=chain_fixed_delay(cemb, chain, self.net),
-                cpu_by_node=cpu_by_node,
-                processing_terms=tuple(terms),
-                arcs=tuple(cemb.arcs(self.net)),
+            threshold = gamma_threshold(load.chain, load.fixed_delay, params.delta)
+            self.operational[chain_id] = OperationalChain(
+                chain_id, service_id, load, threshold
             )
-            self.operational[chain_id] = record
-            for node in cpu_by_node:
+            for node, _ in load.cpu_by_node:
                 self.node_chains[node].add(chain_id)
                 guard = self.node_guard[node]
-                if guard is None or record.threshold > self.operational[guard].threshold:
+                if guard is None or threshold > self.operational[guard].threshold:
                     self.node_guard[node] = chain_id
         self.services[service_id] = tuple(chain_ids)
         return service_id
@@ -372,14 +370,14 @@ class NetworkState:
         # departs need a rescan.
         orphaned: set[NodeId] = set()
         for chain_id in chain_ids:
-            record = self.operational.pop(chain_id)
-            for node, demand in record.cpu_by_node.items():
+            load = self.operational.pop(chain_id).load
+            for node, demand in load.cpu_by_node:
                 self.residual_gamma[node] += demand
                 self.node_chains[node].discard(chain_id)
                 if self.node_guard[node] == chain_id:
                     orphaned.add(node)
-            for arc in record.arcs:
-                self.residual_beta[arc] += record.chain.beta_req
+            for arc in load.arcs:
+                self.residual_beta[arc] += load.chain.beta_req
         for node in orphaned:
             self.node_guard[node] = self._guard_of(node)
 
@@ -404,12 +402,12 @@ class NetworkState:
         twin._next_chain_id = self._next_chain_id
         twin._next_service_id = self._next_service_id
         for chain_id in sorted(self.operational):
-            record = self.operational[chain_id]
-            for node, demand in record.cpu_by_node.items():
+            load = self.operational[chain_id].load
+            for node, demand in load.cpu_by_node:
                 twin.residual_gamma[node] -= demand
                 twin.node_chains[node].add(chain_id)
-            for arc in record.arcs:
-                twin.residual_beta[arc] -= record.chain.beta_req
+            for arc in load.arcs:
+                twin.residual_beta[arc] -= load.chain.beta_req
         for node in range(twin.net.n_nodes):
             twin.node_guard[node] = twin._guard_of(node)
         return twin
@@ -438,7 +436,7 @@ def recheck_operational(
     }
     for chain_id in sorted(guards):
         record = state.operational[chain_id]
-        if _updated_latency(state, record, extra, params.delta) > record.chain.lambda_max:
+        if _updated_latency(state, record, extra, params.delta) > record.load.chain.lambda_max:
             return RecheckVerdict(False, chain_id)
     return RecheckVerdict(True)
 
@@ -453,7 +451,7 @@ def full_recheck(
     extra = emb.cpu_demands(req)
     for chain_id in sorted(state.operational):
         record = state.operational[chain_id]
-        if _updated_latency(state, record, extra, params.delta) > record.chain.lambda_max:
+        if _updated_latency(state, record, extra, params.delta) > record.load.chain.lambda_max:
             return RecheckVerdict(False, chain_id)
     return RecheckVerdict(True)
 
@@ -466,8 +464,9 @@ def _updated_latency(
 ) -> float:
     """Latency of an operational chain after hypothetically charging
     ``extra_cpu``; the chain's own usage is already inside the residuals."""
-    total = record.fixed_delay
-    for node, cycles_per_packet in record.processing_terms:
+    load = record.load
+    total = load.fixed_delay
+    for node, cycles_per_packet, _ in load.vsnfs:
         residual = state.residual_gamma[node] - extra_cpu.get(node, 0)
         total += cycles_per_packet / (residual + delta)
     return total
@@ -551,28 +550,30 @@ def validate_embedding(
             for a, b in zip(seg, seg[1:]):
                 try:
                     net.arc(a, b)
-                except Exception:
+                except TopologyError:
                     violations.append(f"route: {where} segment {seg_idx} uses "
                                       f"missing arc {a}->{b}")
 
     if violations:
         return violations
 
-    for node, demand in sorted(emb.cpu_demands(req).items()):
+    loads = emb.loads(req, net)
+    cpu, bw = request_demands(loads)
+    for node, demand in sorted(cpu.items()):
         if demand > state.residual_gamma[node]:
             violations.append(
                 f"node-capacity: node {node} needs {demand}, has {state.residual_gamma[node]}"
             )
-    for arc, demand in sorted(emb.bw_demands(req, net).items()):
+    for arc, demand in sorted(bw.items()):
         if demand > state.residual_beta[arc]:
             violations.append(
                 f"link-capacity: arc {arc} needs {demand}, has {state.residual_beta[arc]}"
             )
-    for chain_idx, (cemb, chain) in enumerate(zip(emb.chains, req.chains)):
-        latency = chain_latency(state, cemb, chain, net, params.delta)
-        if latency > chain.lambda_max:
+    for chain_idx, load in enumerate(loads):
+        latency = chain_latency(state, load, params.delta)
+        if latency > load.chain.lambda_max:
             violations.append(
-                f"latency: chain {chain_idx} takes {latency:.6g}s, bound {chain.lambda_max}s"
+                f"latency: chain {chain_idx} takes {latency:.6g}s, bound {load.chain.lambda_max}s"
             )
     violations.extend(check_security(emb, req, net))
     verdict = recheck_operational(state, emb, req, params)

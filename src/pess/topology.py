@@ -165,15 +165,6 @@ class PhysicalNetwork:
     def arc_delay(self, arc: int) -> float:
         return self.links[arc // 2].lambda_prop
 
-    def arc_bandwidth(self, arc: int) -> int:
-        return self.links[arc // 2].beta_nominal
-
-    def node_by_name(self, name: str) -> PhysicalNode:
-        for node in self.nodes:
-            if node.name == name:
-                return node
-        raise TopologyError(f"no node named '{name}'")
-
     def _check_connected(self) -> None:
         if not self.nodes:
             raise TopologyError("topology has no nodes")

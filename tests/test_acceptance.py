@@ -265,8 +265,8 @@ def test_criterion_7_alternative_objectives():
         fast = exact_embed(state, req, OracleConfig(objective=MIN_LATENCY))
         assert fast.status == "optimal"
         total = sum(
-            chain_latency(state, cemb, c, net, PARAMS.delta)
-            for cemb, c in zip(fast.embedding.chains, req.chains)
+            chain_latency(state, load, PARAMS.delta)
+            for load in fast.embedding.loads(req, net)
         )
         assert fast.score == total
     assert checked >= 20

@@ -340,6 +340,13 @@ def test_readme_yaml_examples_load():
         assert len(request_from_doc(doc).chains) == len(doc["chains"])
 
 
+def test_readme_python_quickstart_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.strip()
+
+
 # SHA-256 of each result file and of stdout for small runs of the commands
 # that write byte-reproducible results. Stdout names the result directory,
 # written as <out>, and oracle-gap's per-request wall-clock means, written

@@ -27,7 +27,14 @@ from pess.service import (
     infer_stateful_groups,
 )
 from pess.simulator import WorkloadConfig, generate_stream, replay
-from pess.state import CostParams, NetworkState, embedding_cost, validate_embedding
+from pess.state import (
+    CostParams,
+    NetworkState,
+    chain_fixed_delay,
+    embedding_cost,
+    gamma_threshold,
+    validate_embedding,
+)
 from pess.topology import DEFAULT_CPU_CAPACITY, PhysicalNetwork, generate_barabasi_albert
 
 PARAMS = CostParams()
@@ -175,7 +182,9 @@ def priced_instances(draw):
                               st.integers(0, nominal)))
 
     state.residual_gamma = [residual(c) for c in caps]
-    state.residual_beta = [residual(net.arc_bandwidth(arc)) for arc in range(net.n_arcs)]
+    state.residual_beta = [
+        residual(net.links[arc // 2].beta_nominal) for arc in range(net.n_arcs)
+    ]
 
     path = [draw(st.integers(0, n - 1))]
     for _ in range(draw(st.integers(1, n - 1))):
@@ -491,6 +500,42 @@ class TestPessEmbed:
         state.release(first.service_id)
         third = pess_embed(state, req, PARAMS)
         assert third.accepted
+
+    def test_registers_the_loads_it_checked(self):
+        # BA(20,2) churn with a sixteenth of the default CPU, so departures
+        # and blocking both happen: every acceptance commits the load objects
+        # its check built, each equal to one rebuilt from the embedding, and
+        # the ledger still rebuilds to the same state.
+        net = generate_barabasi_albert(20, 2, seed=0, cpu_capacity=DEFAULT_CPU_CAPACITY // 16)
+        state = NetworkState.fresh(net)
+        cfg = WorkloadConfig(load_erlang=150, n_requests=800, warmup=0)
+        stream = generate_stream(net, cfg, seed=1)
+        accepted = 0
+
+        def solve(_, arrival):
+            nonlocal accepted
+            req = arrival.request
+            out = pess_embed(state, req, PARAMS)
+            if out.accepted:
+                accepted += 1
+                records = [state.operational[cid] for cid in state.services[out.service_id]]
+                assert len(records) == len(out.loads) == len(req.chains)
+                assert all(r.load is load for r, load in zip(records, out.loads))
+                assert out.loads == out.embedding.loads(req, net)
+                for record in records:
+                    load = record.load
+                    fixed = chain_fixed_delay(load.emb, load.chain, net)
+                    assert record.threshold == gamma_threshold(load.chain, fixed, PARAMS.delta)
+                twin = state.rebuilt()
+                assert twin.residual_gamma == state.residual_gamma
+                assert twin.residual_beta == state.residual_beta
+                assert twin.node_guard == state.node_guard
+            return out
+
+        for _ in replay(state, stream, solve):
+            pass
+        assert 500 < accepted < 700
+        assert len(state.services) < accepted  # some departed
 
 
 # SHA-256 over every outcome of test_decisions_pinned. A change to the

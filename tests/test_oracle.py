@@ -24,6 +24,7 @@ from pess.service import (
     generate_request,
 )
 from pess.state import (
+    ChainLoad,
     CostParams,
     NetworkState,
     chain_latency,
@@ -113,8 +114,8 @@ class TestObjectives:
         out = exact_embed(state, req, OracleConfig(objective=MIN_LATENCY))
         assert out.status == "optimal"
         total = sum(
-            chain_latency(state, cemb, c, state.net, PARAMS.delta)
-            for cemb, c in zip(out.embedding.chains, req.chains)
+            chain_latency(state, load, PARAMS.delta)
+            for load in out.embedding.loads(req, state.net)
         )
         assert out.score == total
 
@@ -129,8 +130,8 @@ class TestObjectives:
         fast = exact_embed(state, req, OracleConfig(objective=MIN_LATENCY))
         cheap = exact_embed(state, req, OracleConfig(objective=RESOURCE_COST))
         lat = lambda out: sum(
-            chain_latency(state, cemb, c, state.net, PARAMS.delta)
-            for cemb, c in zip(out.embedding.chains, req.chains)
+            chain_latency(state, load, PARAMS.delta)
+            for load in out.embedding.loads(req, state.net)
         )
         assert lat(fast) <= lat(cheap)
 
@@ -410,8 +411,8 @@ def test_option_latency_matches_chain_latency():
         for chain_idx, spec in enumerate(req.chains):
             for option in search.chain_options(chain_idx, {}):
                 cemb = option.cemb
-                assert option.latency == chain_latency(state, cemb, spec, state.net,
-                                                       PARAMS.delta)
+                load = ChainLoad.of(cemb, spec, state.net)
+                assert option.latency == chain_latency(state, load, PARAMS.delta)
                 hosts = cemb.vsnf_nodes
                 if len(set(hosts)) < len(hosts):
                     shapes["shared-host"] += 1

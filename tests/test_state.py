@@ -9,6 +9,7 @@ from pess.service import DOWN, UP, ServiceError
 from pess.state import (
     CapacityError,
     ChainEmbedding,
+    ChainLoad,
     CostParams,
     Embedding,
     NetworkState,
@@ -176,18 +177,20 @@ class TestGammaThreshold:
         net = path_net([10**10, 10**10], delay=2.5e-4, queuing=0.0)
         cemb = ChainEmbedding(0, 1, (1,), ((0, 1), (1,)))
         c = chain(vsnf(gamma=9.5), lam=5.0e-4 + 2.5e-4)
-        got = gamma_threshold(c, cemb, net, 1e-6)
+        got = gamma_threshold(c, chain_fixed_delay(cemb, c, net), 1e-6)
         assert got == pytest.approx(9.5 * 8000.0 / 5.0e-4 - 1e-6, rel=1e-12)
 
     def test_no_vsnfs(self):
         net = path_net([10**10, 10**10], delay=1e-4)
         cemb = ChainEmbedding(0, 1, (), ((0, 1),))
-        assert gamma_threshold(chain(lam=0.2), cemb, net, 1e-6) == -1e-6
+        c = chain(lam=0.2)
+        assert gamma_threshold(c, chain_fixed_delay(cemb, c, net), 1e-6) == -1e-6
 
     def test_exhausted_budget(self):
         net = path_net([10**10, 10**10], delay=0.3)
         cemb = ChainEmbedding(0, 1, (1,), ((0, 1), (1,)))
-        got = gamma_threshold(chain(vsnf(), lam=0.2), cemb, net, 1e-6)
+        c = chain(vsnf(), lam=0.2)
+        got = gamma_threshold(c, chain_fixed_delay(cemb, c, net), 1e-6)
         assert got == math.inf
 
 
@@ -248,7 +251,7 @@ class TestChainLatency:
         state = NetworkState.fresh(net)
         c = chain(vsnf(gamma=9.5), beta=100_000_000, lam=0.4)
         cemb = ChainEmbedding(0, 2, (1,), ((0, 1), (1, 2)))
-        got = chain_latency(state, cemb, c, net, 1e-6)
+        got = chain_latency(state, ChainLoad.of(cemb, c, net), 1e-6)
         fixed = 2 * 1.0e-4 + 9.6e-4
         proc = 9.5 * 8000.0 / (67_200_000_000 - 950_000_000 + 1e-6)
         assert got == pytest.approx(fixed + proc, rel=1e-12)
@@ -481,7 +484,12 @@ def test_embedding_round_trip():
             ChainEmbedding(3, 0, (), ((3, 2, 0),)),
         )
     )
-    assert Embedding.from_dict(emb.to_dict()).to_dict() == emb.to_dict()
+    assert emb.to_dict() == {
+        "chains": [
+            {"src": 0, "dst": 3, "vsnf_nodes": [1, 2], "segments": [[0, 1], [1, 2], [2, 3]]},
+            {"src": 3, "dst": 0, "vsnf_nodes": [], "segments": [[3, 2, 0]]},
+        ]
+    }
 
 
 def test_cost_params_validation():

@@ -127,7 +127,6 @@ def test_arc_indexing():
     fwd, back = net.arc(a, b), net.arc(b, a)
     assert fwd == 8 and back == 9  # 2*link_id, 2*link_id + 1
     assert net.arc_delay(fwd) == net.arc_delay(back) == link.lambda_prop
-    assert net.arc_bandwidth(fwd) == link.beta_nominal
     assert net.n_arcs == 2 * net.n_links
     with pytest.raises(TopologyError):
         net.arc(a, a)
@@ -148,7 +147,8 @@ class TestLoadTopology:
         assert net.n_nodes == 2 and net.n_links == 1
         assert net.links[0].beta_nominal == 10**10
         assert net.links[0].lambda_prop == 5.0e-4
-        assert net.node_by_name("right").gamma_nominal == 2000
+        assert net.nodes[1].name == "right"
+        assert net.nodes[1].gamma_nominal == 2000
 
     def test_delay_overrides_distance(self):
         doc = {
