@@ -31,10 +31,10 @@ from .state import (
     CostParams,
     Embedding,
     NetworkState,
+    arc_demands,
     chain_latency,
     cpu_demand,
     recheck_operational,
-    request_demands,
     validate_request_nodes,
 )
 from .topology import NodeId, PhysicalNetwork
@@ -333,8 +333,7 @@ def check_placement(
         if demand > state.residual_gamma[node]:
             return None, "node-capacity"
     loads = emb.loads(req, net)
-    _, bw = request_demands(loads)
-    for arc, demand in bw.items():
+    for arc, demand in arc_demands(loads).items():
         if demand > state.residual_beta[arc]:
             return None, "link-capacity"
     latencies = []
@@ -471,7 +470,7 @@ def pess_embed(
         if recheck_operational(state, outcome.embedding, req, params).ok:
             if not register:
                 return outcome
-            service_id = state.register(outcome.embedding, req, params, outcome.loads)
+            service_id = state.register(outcome.loads, params)
             return replace(outcome, service_id=service_id)
         violation = violation or "op-latency"
     # No path ranked at all: name what stopped the first one from placing.

@@ -179,33 +179,26 @@ class ChainLoad:
     chain: Chain
     arcs: tuple[int, ...]  # traversed arc indices, with multiplicity
     fixed_delay: float  # chain_fixed_delay
-    cpu_by_node: tuple[tuple[NodeId, int], ...]  # hosts in order of first use
-    vsnfs: tuple[tuple[NodeId, float, int], ...]  # (host, cycles/packet, demand)
+    vsnfs: tuple[tuple[NodeId, float, int], ...]  # (host, cycles/packet, CPU demand)
 
     @classmethod
     def of(cls, cemb: ChainEmbedding, chain: Chain, net: PhysicalNetwork) -> "ChainLoad":
-        cpu: dict[NodeId, int] = {}
-        vsnfs = []
-        for node, spec in zip(cemb.vsnf_nodes, chain.vsnfs):
-            demand = cpu_demand(spec.gamma_u, chain.beta_req)
-            cpu[node] = cpu.get(node, 0) + demand
-            vsnfs.append((node, spec.gamma_u * chain.sigma, demand))
-        arcs = tuple(cemb.arcs(net))
-        fixed_delay = chain_fixed_delay(cemb, chain, net)
-        return cls(cemb, chain, arcs, fixed_delay, tuple(cpu.items()), tuple(vsnfs))
+        vsnfs = tuple(
+            (node, spec.gamma_u * chain.sigma, cpu_demand(spec.gamma_u, chain.beta_req))
+            for node, spec in zip(cemb.vsnf_nodes, chain.vsnfs)
+        )
+        return cls(cemb, chain, tuple(cemb.arcs(net)), chain_fixed_delay(cemb, chain, net), vsnfs)
 
 
-def request_demands(loads: tuple[ChainLoad, ...]) -> tuple[dict[NodeId, int], dict[int, int]]:
-    """A request's CPU demand per node and bandwidth demand per arc."""
-    cpu: dict[NodeId, int] = {}
+def arc_demands(loads: tuple[ChainLoad, ...]) -> dict[int, int]:
+    """A request's bandwidth demand per arc; ``Embedding.cpu_demands`` has
+    its CPU demand per node."""
     bw: dict[int, int] = {}
     for load in loads:
-        for node, demand in load.cpu_by_node:
-            cpu[node] = cpu.get(node, 0) + demand
         beta = load.chain.beta_req
         for arc in load.arcs:
             bw[arc] = bw.get(arc, 0) + beta
-    return cpu, bw
+    return bw
 
 
 def chain_latency(state: "NetworkState", load: ChainLoad, delta: float) -> float:
@@ -306,39 +299,36 @@ class NetworkState:
 
     # -- resource accounting ------------------------------------------------
 
+    def _charge(self, loads: tuple[ChainLoad, ...], sign: int) -> None:
+        """Debit (``sign`` 1) or credit (``sign`` -1) the loads' CPU and
+        bandwidth."""
+        gamma, beta = self.residual_gamma, self.residual_beta
+        for load in loads:
+            for node, _, demand in load.vsnfs:
+                gamma[node] -= sign * demand
+            bw = sign * load.chain.beta_req
+            for arc in load.arcs:
+                beta[arc] -= bw
+
     def _debit(self, loads: tuple[ChainLoad, ...]) -> None:
-        cpu, bw = request_demands(loads)
-        for node, demand in cpu.items():
-            if demand > self.residual_gamma[node]:
-                raise CapacityError(
-                    f"node {node}: demand {demand} exceeds residual "
-                    f"{self.residual_gamma[node]} cycles/s"
-                )
-        for arc, demand in bw.items():
-            if demand > self.residual_beta[arc]:
-                raise CapacityError(
-                    f"arc {arc} (link {arc // 2}): demand {demand} exceeds "
-                    f"residual {self.residual_beta[arc]} bits/s"
-                )
-        for node, demand in cpu.items():
-            self.residual_gamma[node] -= demand
-        for arc, demand in bw.items():
-            self.residual_beta[arc] -= demand
+        """Charge the loads; if a residual would go negative, leave every
+        residual as it was and raise ``CapacityError``."""
+        self._charge(loads, 1)
+        gamma, beta = self.residual_gamma, self.residual_beta
+        short = [
+            f"node {node}: demand exceeds residual by {-gamma[node]} cycles/s"
+            for load in loads for node, _, _ in load.vsnfs if gamma[node] < 0
+        ] + [
+            f"arc {arc} (link {arc // 2}): demand exceeds residual by {-beta[arc]} bits/s"
+            for load in loads for arc in load.arcs if beta[arc] < 0
+        ]
+        if short:
+            self._charge(loads, -1)
+            raise CapacityError(short[0])
 
-    def register(
-        self,
-        emb: Embedding,
-        req: ServiceRequest,
-        params: CostParams,
-        loads: tuple[ChainLoad, ...] | None = None,
-    ) -> int:
-        """Debit resources and append the chains to the operational ledger.
-
-        ``loads`` are ``emb.loads(req, self.net)``, built here unless the
-        caller passes the ones it checked, as ``pess_embed`` does.
-        """
-        if loads is None:
-            loads = emb.loads(req, self.net)
+    def register(self, loads: tuple[ChainLoad, ...], params: CostParams) -> int:
+        """Debit a request's chain loads, ``Embedding.loads(req, net)``, and
+        append its chains to the operational ledger."""
         self._debit(loads)
         service_id = self._next_service_id
         self._next_service_id += 1
@@ -351,7 +341,7 @@ class NetworkState:
             self.operational[chain_id] = OperationalChain(
                 chain_id, service_id, load, threshold
             )
-            for node, _ in load.cpu_by_node:
+            for node, _, _ in load.vsnfs:
                 self.node_chains[node].add(chain_id)
                 guard = self.node_guard[node]
                 if guard is None or threshold > self.operational[guard].threshold:
@@ -368,16 +358,14 @@ class NetworkState:
         # Removing a chain that is not a node's guard leaves that node's
         # (threshold, -chain_id) maximum in place, so only nodes whose guard
         # departs need a rescan.
+        loads = tuple(self.operational.pop(chain_id).load for chain_id in chain_ids)
+        self._charge(loads, -1)
         orphaned: set[NodeId] = set()
-        for chain_id in chain_ids:
-            load = self.operational.pop(chain_id).load
-            for node, demand in load.cpu_by_node:
-                self.residual_gamma[node] += demand
+        for chain_id, load in zip(chain_ids, loads):
+            for node, _, _ in load.vsnfs:
                 self.node_chains[node].discard(chain_id)
                 if self.node_guard[node] == chain_id:
                     orphaned.add(node)
-            for arc in load.arcs:
-                self.residual_beta[arc] += load.chain.beta_req
         for node in orphaned:
             self.node_guard[node] = self._guard_of(node)
 
@@ -401,13 +389,10 @@ class NetworkState:
         twin.services = dict(self.services)
         twin._next_chain_id = self._next_chain_id
         twin._next_service_id = self._next_service_id
-        for chain_id in sorted(self.operational):
-            load = self.operational[chain_id].load
-            for node, demand in load.cpu_by_node:
-                twin.residual_gamma[node] -= demand
+        twin._charge(tuple(record.load for record in self.operational.values()), 1)
+        for chain_id, record in self.operational.items():
+            for node, _, _ in record.load.vsnfs:
                 twin.node_chains[node].add(chain_id)
-            for arc in load.arcs:
-                twin.residual_beta[arc] -= load.chain.beta_req
         for node in range(twin.net.n_nodes):
             twin.node_guard[node] = twin._guard_of(node)
         return twin
@@ -558,13 +543,12 @@ def validate_embedding(
         return violations
 
     loads = emb.loads(req, net)
-    cpu, bw = request_demands(loads)
-    for node, demand in sorted(cpu.items()):
+    for node, demand in sorted(emb.cpu_demands(req).items()):
         if demand > state.residual_gamma[node]:
             violations.append(
                 f"node-capacity: node {node} needs {demand}, has {state.residual_gamma[node]}"
             )
-    for arc, demand in sorted(bw.items()):
+    for arc, demand in sorted(arc_demands(loads).items()):
         if demand > state.residual_beta[arc]:
             violations.append(
                 f"link-capacity: arc {arc} needs {demand}, has {state.residual_beta[arc]}"

@@ -75,7 +75,7 @@ class TestDebit:
         state = NetworkState.fresh(net)
         req = request(0, [1], chain(vsnf("snort", 9.5), beta=100_000_000))
         emb = single(0, 1, [1], [[0, 1], [1]])
-        state.register(emb, req, PARAMS)
+        state.register(emb.loads(req, net), PARAMS)
         assert state.residual_gamma[1] == 67_200_000_000 - 950_000_000 == 66_250_000_000
         assert state.residual_gamma[0] == 67_200_000_000
         assert state.residual_beta[net.arc(0, 1)] == 10**10 - 100_000_000
@@ -88,7 +88,7 @@ class TestDebit:
         emb = single(0, 2, [1], [[0, 1], [1, 2]])
         before_gamma = list(state.residual_gamma)
         before_beta = list(state.residual_beta)
-        sid = state.register(emb, req, PARAMS)
+        sid = state.register(emb.loads(req, net), PARAMS)
         assert state.residual_gamma != before_gamma
         state.release(sid)
         assert state.residual_gamma == before_gamma
@@ -102,7 +102,7 @@ class TestDebit:
         req = request(0, [1], chain(vsnf(gamma=9.5), beta=1000))
         emb = single(0, 1, [1], [[0, 1], [1]])
         with pytest.raises(CapacityError, match="node 1"):
-            state.register(emb, req, PARAMS)
+            state.register(emb.loads(req, net), PARAMS)
 
     def test_link_capacity_error(self):
         net = path_net([10**10, 10**10], bandwidth=10)
@@ -110,17 +110,18 @@ class TestDebit:
         req = request(0, [1], chain(beta=100))
         emb = single(0, 1, [], [[0, 1]])
         with pytest.raises(CapacityError, match=r"arc 0 \(link 0\)"):
-            state.register(emb, req, PARAMS)
+            state.register(emb.loads(req, net), PARAMS)
 
     def test_failed_debit_rolls_back(self):
         net = build_net([10**10, 100], [(0, 1)])
         state = NetworkState.fresh(net)
         req = request(0, [1], chain(vsnf(gamma=1.0), vsnf("b", gamma=9.5), beta=1000))
         emb = single(0, 1, [0, 1], [[0], [0, 1], [1]])
-        before = list(state.residual_gamma)
+        before, before_beta = list(state.residual_gamma), list(state.residual_beta)
         with pytest.raises(CapacityError):
-            state.register(emb, req, PARAMS)
+            state.register(emb.loads(req, net), PARAMS)
         assert state.residual_gamma == before
+        assert state.residual_beta == before_beta
         assert not state.operational
 
     def test_release_unknown_service(self):
@@ -228,7 +229,7 @@ class TestEmbeddingCost:
         emb = single(0, 1, [], [[0, 1]])
         fresh = NetworkState.fresh(net)
         first = embedding_cost(fresh, emb, req, net, PARAMS)
-        fresh.register(emb, req, PARAMS)
+        fresh.register(emb.loads(req, net), PARAMS)
         second = embedding_cost(fresh, emb, req, net, PARAMS)
         assert second > first
 
@@ -332,7 +333,7 @@ class TestRecheck:
         resident = chain(vsnf(gamma=9.5), beta=100_000_000, lam=7.4e-5)
         req = request(0, [2], resident)
         emb = single(0, 2, [1], [[0, 1], [1, 2]])
-        state.register(emb, req, PARAMS)
+        state.register(emb.loads(req, net), PARAMS)
         # Residual at node 1 is 1.05e9; latency = 76000/1.05e9 = 7.238e-5,
         # a hair under the 7.4e-5 bound.
         assert state.residual_gamma[1] == 1_050_000_000
@@ -373,8 +374,8 @@ class TestGuards:
         loose = request(0, [1], chain(vsnf(gamma=1.0), beta=1000, lam=0.4))
         tight = request(0, [1], chain(vsnf(gamma=9.5), beta=1000, lam=0.001))
         emb = single(0, 1, [1], [[0, 1], [1]])
-        sid_loose = state.register(emb, loose, PARAMS)
-        state.register(emb, tight, PARAMS)
+        sid_loose = state.register(emb.loads(loose, net), PARAMS)
+        state.register(emb.loads(tight, net), PARAMS)
         assert state.node_guard[1] == self.brute_force_guard(state, 1) == 1
         state.release(sid_loose)
         assert state.node_guard[1] == self.brute_force_guard(state, 1) == 1
@@ -384,8 +385,8 @@ class TestGuards:
         state = NetworkState.fresh(net)
         same = request(0, [1], chain(vsnf(gamma=2.0), beta=1000, lam=0.2))
         emb = single(0, 1, [1], [[0, 1], [1]])
-        state.register(emb, same, PARAMS)
-        state.register(emb, same, PARAMS)
+        state.register(emb.loads(same, net), PARAMS)
+        state.register(emb.loads(same, net), PARAMS)
         assert state.node_guard[1] == 0
         assert self.brute_force_guard(state, 1) == 0
 
@@ -410,7 +411,7 @@ class TestGuards:
                 )
                 emb = single(0, 4, [host], [[0, 1] if host == 1 else [0, 2] if host == 2 else [0, 1, 3],
                                             [1, 2, 3, 4] if host == 1 else [2, 3, 4] if host == 2 else [3, 4]])
-                live.append(state.register(emb, req, PARAMS))
+                live.append(state.register(emb.loads(req, net), PARAMS))
             for node in range(net.n_nodes):
                 assert state.node_guard[node] == self.brute_force_guard(state, node)
         twin = state.rebuilt()
