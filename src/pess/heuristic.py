@@ -16,6 +16,13 @@ it with a lower bound of its cost from per-tree prefix sums
 (``detour_bounds``), and is walked out of the trees and priced only when
 that bound pops; the scan order, and so the decision, is the one a full
 sort of every priced path would give.
+
+Before the round grows a tree, the anchor's own path is the incumbent.
+Searches under link weights that bound both directions from below
+(``detour_vias``) rule out the vias whose every detour costs more than it,
+and the round grows toward the rest only, or not at all. A ruled-out detour
+would pop after the incumbent, and the incumbent, once it passes the
+operational recheck, is accepted when it pops: the decision stays the same.
 """
 
 from __future__ import annotations
@@ -243,10 +250,21 @@ def price_path(
     return (tuple(hosts_by_chain), cost), None
 
 
+def detour_weights(req: ServiceRequest, params: CostParams) -> tuple[int, int, float]:
+    """The weights of a detour's cost bound: the up chains' total bandwidth,
+    the down chains', and ``alpha`` times the request's CPU demand."""
+    up_beta = sum(chain.beta_req for chain in req.chains if chain.direction == UP)
+    cpu_weight = params.alpha * sum(
+        cpu_demand(spec.gamma_u, chain.beta_req) for chain in req.chains for spec in chain.vsnfs
+    )
+    return up_beta, req.total_bandwidth() - up_beta, cpu_weight
+
+
 def detour_bounds(
     state: NetworkState,
     req: ServiceRequest,
     params: CostParams,
+    weights: tuple[int, int, float],
     user: _Tree,
     remote: _Tree,
     vias: list[NodeId],
@@ -273,11 +291,7 @@ def detour_bounds(
     bound all the same; the scan drops it when it walks it.
     """
     residual_gamma, veto, delta = state.residual_gamma, req.veto, params.delta
-    up_beta = sum(chain.beta_req for chain in req.chains if chain.direction == UP)
-    down_beta = req.total_bandwidth() - up_beta
-    cpu_weight = params.alpha * sum(
-        cpu_demand(spec.gamma_u, chain.beta_req) for chain in req.chains for spec in chain.vsnfs
-    )
+    up_beta, down_beta, cpu_weight = weights
     at_user = user.prefixes(vias, residual_gamma, veto)
     at_remote = remote.prefixes(vias, residual_gamma, veto)
     bounds = []
@@ -291,6 +305,153 @@ def detour_bounds(
             bound += cpu_weight / (residual_gamma[hotspot] + delta)
         bounds.append(bound * (1.0 - BOUND_SLACK))
     return bounds
+
+
+def detour_vias(
+    state: NetworkState,
+    req: ServiceRequest,
+    params: CostParams,
+    weights: tuple[int, int, float],
+    user: _Tree,
+    anchor: NodeId,
+    expansion: set[NodeId],
+    limit: float,
+) -> list[NodeId]:
+    """The nodes of ``expansion``, sorted, through which a detour may cost at
+    most ``limit``; a detour through any other costs more.
+
+    The detour through ``via`` is ``user``'s tree path to it, then the anchor
+    tree's path back (see ``detour_bounds``). Weigh each link, both ways, by
+    ``beta_bar / (max(r(a), r(a ^ 1)) + delta)``, with ``r`` the residual
+    bandwidth and ``beta_bar`` the request's total. Each chain crosses every
+    arc of a detour at least once, in its own direction, so it pays at least
+    its share of that weight, and the tail costs at least the weighted
+    distance from the anchor to ``via``. The head costs at least the weighted
+    distance from ``ep1``; once ``user`` has settled ``via`` it costs its up
+    and down path sums, as in ``detour_bounds``. Every VSNF sits on a node
+    with at most the largest residual CPU, so the CPU terms add at least
+    ``alpha`` times the demand over that plus ``delta``, pinned VSNFs
+    included. A via goes when this bound, less ``BOUND_SLACK``, exceeds
+    ``limit``. Links that carry ``beta_bar`` neither way are skipped, as the
+    trees skip them.
+
+    One search grows from ``ep1`` and one from the anchor, in turn, until
+    every via is settled by both or its bound exceeds ``limit`` anyway: a
+    node a search has not settled is at least its frontier's distance away.
+    A via the user tree has settled also stays at once when twice its head
+    plus the anchor's head fits: back to ``ep1`` and out to the anchor along
+    the user tree is a path no heavier than that. The work stops at the
+    first via that stays, since the round then runs anyway; every via not yet
+    ruled out stays with it.
+    """
+    up_beta, down_beta, cpu_weight = weights
+    beta_bar = up_beta + down_beta
+    residual_beta, delta, adjacency = state.residual_beta, params.delta, state.net.adjacency
+    floor = cpu_weight / (max(state.residual_gamma) + delta) if cpu_weight else 0.0
+    # A via stays when its head and tail parts add up to at most ``budget``.
+    budget = limit / (1.0 - BOUND_SLACK) - floor
+    if budget < 0.0:
+        return []
+
+    # Per side (0: from ep1, 1: from the anchor), each pending via's part
+    # once known, and a heap of the vias known on that side alone.
+    pending = set(expansion)
+    known: tuple[dict[NodeId, float], dict[NodeId, float]] = ({}, {})
+    alone: tuple[list, list] = ([], [])
+    kept: list[NodeId] = []
+    head = {req.ep1: 0.0}
+    parent, parent_arc = user.parent, user.parent_arc
+    for target in (anchor, *expansion):
+        if user.done[target]:
+            walk = []
+            node = target
+            while node not in head:
+                walk.append(node)
+                node = parent[node]
+            cost = head[node]
+            for node in reversed(walk):
+                arc = parent_arc[node]
+                cost += up_beta / (residual_beta[arc] + delta)
+                cost += down_beta / (residual_beta[arc ^ 1] + delta)
+                head[node] = cost
+            if target != anchor:
+                known[0][target] = cost
+                alone[0].append((cost, target))
+                # Back to ep1 and out to the anchor along the user tree: a
+                # path whose weight is at most the two heads bounds the tail.
+                if 2.0 * cost + head[anchor] <= budget:
+                    kept.append(target)
+                    pending.discard(target)
+                    break
+    heapq.heapify(alone[0])
+    unknown = len(expansion) - len(known[0])  # vias known on neither side
+
+    n = state.net.n_nodes
+    dist = ([math.inf] * n, [math.inf] * n)
+    dist[0][req.ep1] = dist[1][anchor] = 0.0
+    frontier: tuple[list, list] = ([(0.0, req.ep1)], [(0.0, anchor)])
+    alone0, alone1 = alone
+    # Each frontier's least key: no node its search has yet to settle is nearer.
+    reach0 = reach1 = 0.0
+    heappop, heappush = heapq.heappop, heapq.heappush
+    while pending and not kept:
+        # The least bound over the vias known on neither side, on the ep1
+        # side alone and on the anchor side alone; grow the side it waits on.
+        while alone0 and alone0[0][1] not in pending:
+            heappop(alone0)
+        while alone1 and alone1[0][1] not in pending:
+            heappop(alone1)
+        least, side = (reach0 + reach1, int(reach1 < reach0)) if unknown else (math.inf, 0)
+        if alone0 and alone0[0][0] + reach1 < least:
+            least, side = alone0[0][0] + reach1, 1
+        if alone1 and alone1[0][0] + reach0 < least:
+            least, side = alone1[0][0] + reach0, 0
+        if least > budget:
+            break
+        side_dist, side_heap, side_known = dist[side], frontier[side], known[side]
+        other_dist, other_known = dist[1 - side], known[1 - side]
+        here_dist, here = heappop(side_heap)
+        if here_dist == side_dist[here]:
+            if here in pending and here not in side_known:
+                if here in other_known:
+                    # Both parts are final; had they fitted, the via would
+                    # have stayed when the later of them was found.
+                    pending.discard(here)
+                else:
+                    side_known[here] = here_dist
+                    heappush(alone[side], (here_dist, here))
+                    unknown -= 1
+            # A neighbour already this near is settled or needs nothing from here.
+            for neighbor, arc in adjacency[here]:
+                if side_dist[neighbor] <= here_dist:
+                    continue
+                residual = residual_beta[arc]
+                if residual_beta[arc ^ 1] > residual:
+                    residual = residual_beta[arc ^ 1]
+                if residual < beta_bar:
+                    continue
+                candidate = here_dist + beta_bar / (residual + delta)
+                if candidate < side_dist[neighbor]:
+                    side_dist[neighbor] = candidate
+                    heappush(side_heap, (candidate, neighbor))
+                    # Paths found so far bound both parts from above: a via
+                    # whose parts already fit the budget stays. Every final
+                    # part is found this way, so this also keeps each via
+                    # whose final parts fit.
+                    if neighbor in pending and neighbor not in side_known:
+                        if candidate + other_known.get(neighbor, other_dist[neighbor]) <= budget:
+                            pending.discard(neighbor)
+                            kept.append(neighbor)
+        if side:
+            reach1 = side_heap[0][0] if side_heap else math.inf
+        else:
+            reach0 = side_heap[0][0] if side_heap else math.inf
+    if kept:
+        kept += [
+            via for via in pending if known[0].get(via, reach0) + known[1].get(via, reach1) <= budget
+        ]
+    kept.sort()
+    return kept
 
 
 def check_placement(
@@ -380,6 +541,13 @@ def pess_embed(
     its cost, and is walked out of the trees and priced only when the scan
     reaches that bound.
 
+    The detour round skips every via through which ``detour_vias`` proves
+    each detour dearer than the incumbent, the cheapest initial path that
+    places, once that path also passes the operational recheck: such a
+    detour would pop after the incumbent, which is accepted when it pops.
+    So the decision, its cost, latencies and ``violation`` are those of the
+    full round, and with no incumbent the round runs in full.
+
     ``register=False`` evaluates without committing.
     """
     net = state.net
@@ -397,6 +565,7 @@ def pess_embed(
     # path is built and checked at most once.
     heap: list[tuple] = []
     checked: dict[tuple[NodeId, ...], tuple[EmbedOutcome | None, str | None]] = {}
+    rechecked: dict[tuple[NodeId, ...], bool] = {}
     unplaced: str | None = None
 
     def rank(path: tuple[NodeId, ...], arcs: list[int]) -> None:
@@ -419,6 +588,13 @@ def pess_embed(
             checked[path] = place_on_path(state, path, req, params)
         return checked[path]
 
+    def passes(path: tuple[NodeId, ...]) -> bool:
+        # Whether a path that places breaks no running chain, rechecked once.
+        if path not in rechecked:
+            embedding = checked[path][0].embedding
+            rechecked[path] = recheck_operational(state, embedding, req, params).ok
+        return rechecked[path]
+
     path_nodes: set[NodeId] = set()
     for target in reached:
         path, arcs = user.path_to(target)
@@ -439,20 +615,31 @@ def pess_embed(
         # failing that, at the remote endpoint whose path was cheapest, so
         # the expansion can still rescue the request.
         anchor = min(reached, key=lambda t: (user.dist[t], t))
+        incumbent = None
         for entry in sorted(heap):
             if check(entry[3])[0] is not None:
-                anchor = entry[3][-1]
+                anchor, incumbent = entry[3][-1], entry
                 break
-        user.grow(expansion)
-        remote = _Tree(net, state.residual_beta, anchor, beta_bar, params.delta)
-        remote.grow(expansion)
-        vias = [
-            via
-            for via in sorted(expansion)
-            if not math.isinf(user.dist[via]) and not math.isinf(remote.dist[via])
-        ]
-        for via, bound in zip(vias, detour_bounds(state, req, params, user, remote, vias)):
-            heapq.heappush(heap, (bound, 0, via))
+        weights = detour_weights(req, params)
+        if incumbent is not None:
+            # A detour dearer than the anchor's path can only matter if that
+            # path fails when the scan reaches it, that is, if it breaks a
+            # running chain; otherwise the round can leave such vias out.
+            vias = detour_vias(state, req, params, weights, user, anchor, expansion, incumbent[0])
+            if len(vias) < len(expansion) and passes(incumbent[3]):
+                expansion = vias
+        if expansion:
+            user.grow(expansion)
+            remote = _Tree(net, state.residual_beta, anchor, beta_bar, params.delta)
+            remote.grow(expansion)
+            vias = [
+                via
+                for via in sorted(expansion)
+                if not math.isinf(user.dist[via]) and not math.isinf(remote.dist[via])
+            ]
+            bounds = detour_bounds(state, req, params, weights, user, remote, vias)
+            for via, bound in zip(vias, bounds):
+                heapq.heappush(heap, (bound, 0, via))
 
     # Best-first scan: a popped bound is replaced by its priced detour, which
     # pops once nothing cheaper is left. Paths tied on (cost, len(path), path)
@@ -467,7 +654,7 @@ def pess_embed(
         if outcome is None:
             violation = violation or code
             continue
-        if recheck_operational(state, outcome.embedding, req, params).ok:
+        if passes(entry[3]):
             if not register:
                 return outcome
             service_id = state.register(outcome.loads, params)

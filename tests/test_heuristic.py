@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import heapq
 import math
 import random
 
@@ -13,6 +14,8 @@ from pess.heuristic import (
     REASON_NO_ROUTE,
     _Tree,
     detour_bounds,
+    detour_vias,
+    detour_weights,
     pess_embed,
     place_on_path,
     price_path,
@@ -33,6 +36,7 @@ from pess.state import (
     chain_fixed_delay,
     embedding_cost,
     gamma_threshold,
+    recheck_operational,
     validate_embedding,
 )
 from pess.topology import DEFAULT_CPU_CAPACITY, PhysicalNetwork, generate_barabasi_albert
@@ -313,7 +317,8 @@ class TestDetourBound:
                            params.delta)
             remote.grow(nodes)
             vias = [v for v in nodes if not math.isinf(user.dist[v] + remote.dist[v])]
-            for via, bound in zip(vias, detour_bounds(state, req, params, user, remote, vias)):
+            weights = detour_weights(req, params)
+            for via, bound in zip(vias, detour_bounds(state, req, params, weights, user, remote, vias)):
                 head, head_arcs = user.path_to(via)
                 tail, tail_arcs = remote.path_to(via)
                 path = head + tail[-2::-1]
@@ -333,6 +338,176 @@ class TestDetourBound:
                 assert bound <= cost
                 if not pinned:
                     assert cost - bound <= 1e-6 * cost
+
+
+def _symmetric_distances(state, source, beta_bar, delta):
+    """Plain Dijkstra from ``source`` over the links that carry ``beta_bar``
+    either way, each weighted both ways by ``beta_bar`` over its larger
+    residual plus ``delta``."""
+    dist = [math.inf] * state.net.n_nodes
+    dist[source] = 0.0
+    heap = [(0.0, source)]
+    while heap:
+        d, here = heapq.heappop(heap)
+        if d > dist[here]:
+            continue
+        for neighbor, arc in state.net.adjacency[here]:
+            residual = max(state.residual_beta[arc], state.residual_beta[arc ^ 1])
+            if residual >= beta_bar and d + beta_bar / (residual + delta) < dist[neighbor]:
+                dist[neighbor] = d + beta_bar / (residual + delta)
+                heapq.heappush(heap, (dist[neighbor], neighbor))
+    return dist
+
+
+def _incumbent(state, req, params):
+    """The first initial path, in ``(cost, len, path)`` order, that places,
+    as ``(cost, path)``; None if none does."""
+    user = _Tree(state.net, state.residual_beta, req.ep1, req.total_bandwidth(), params.delta)
+    user.grow(req.ep2_set)
+    ranked = []
+    for target in req.ep2_set:
+        if user.done[target]:
+            path, arcs = user.path_to(target)
+            placement, _ = price_path(state, path, arcs, req, params)
+            if placement is not None:
+                ranked.append((placement[1], len(path), path))
+    for cost, _, path in sorted(ranked):
+        if place_on_path(state, path, req, params)[0] is not None:
+            return cost, path
+    return None
+
+
+class TestDetourVias:
+    @settings(max_examples=300, deadline=None)
+    @given(detour_instances())
+    def test_dropped_detours_cost_more_than_the_limit(self, instance):
+        # pess_embed runs the proof once, against its incumbent (the first
+        # initial path that places), and only when it has one; with no
+        # running chain the incumbent passes its recheck, so what the proof
+        # drops stays dropped. The proof holds for any anchor and limit, so
+        # it is also run from each initial path, against that path's cost,
+        # over every node off it. Every dropped via's bound, from full
+        # searches, exceeds the limit. Both trees grown in full, every simple
+        # detour through a dropped via is priced: each costs strictly more
+        # than the limit, so it sorts after the incumbent in (cost, len,
+        # path) order whatever its length, and an equal cost would fail.
+        state, req, params = instance
+        calls = []
+
+        def spy(*args):
+            kept = detour_vias(*args)
+            calls.append((args, kept))
+            return kept
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(heuristic, "detour_vias", spy)
+            pess_embed(state, req, params, register=False)
+        incumbent = _incumbent(state, req, params)
+        weights = detour_weights(req, params)
+        if calls:
+            assert len(calls) == 1 and incumbent is not None
+            (*_, given_weights, _, anchor, _, limit), _ = calls[0]
+            assert given_weights == weights
+            assert (limit, anchor) == (incumbent[0], incumbent[1][-1])
+        event(f"pess_embed's proof: {'ran' if calls else 'skipped'}, "
+              f"{'no ' if incumbent is None else ''}incumbent")
+
+        nodes = range(state.net.n_nodes)
+        beta_bar = req.total_bandwidth()
+        user = _Tree(state.net, state.residual_beta, req.ep1, beta_bar, params.delta)
+        user.grow(req.ep2_set)
+        full = _Tree(state.net, state.residual_beta, req.ep1, beta_bar, params.delta)
+        full.grow(nodes)
+        for anchor in sorted(req.ep2_set):
+            if not user.done[anchor]:
+                continue
+            path, arcs = user.path_to(anchor)
+            placement, _ = price_path(state, path, arcs, req, params)
+            if placement is None:
+                continue
+            limit = placement[1]
+            expansion = set(nodes) - set(path) - req.veto
+            kept = detour_vias(state, req, params, weights, user, anchor, expansion, limit)
+            assert set(kept) <= expansion and kept == sorted(kept)
+            dropped = expansion - set(kept)
+            event(f"proof dropped {'every' if not kept else 'some' if dropped else 'no'} via")
+            up_beta, down_beta, cpu_weight = weights
+            floor = cpu_weight / (max(state.residual_gamma) + params.delta) if cpu_weight else 0.0
+            budget = limit / (1.0 - heuristic.BOUND_SLACK) - floor
+            from_ep1 = _symmetric_distances(state, req.ep1, beta_bar, params.delta)
+            from_anchor = _symmetric_distances(state, anchor, beta_bar, params.delta)
+            settled = [via for via in dropped if user.done[via]]
+            sums = user.prefixes(settled, state.residual_gamma, req.veto)
+            for via in dropped:
+                fwd, bwd, _ = sums.get(via, (math.nan, math.nan, None))
+                head = up_beta * fwd + down_beta * bwd if user.done[via] else from_ep1[via]
+                assert head + from_anchor[via] > budget - 1e-12 * limit
+            remote = _Tree(state.net, state.residual_beta, anchor, beta_bar, params.delta)
+            remote.grow(nodes)
+            for via in sorted(dropped):
+                if math.isinf(full.dist[via]) or math.isinf(remote.dist[via]):
+                    continue
+                head, head_arcs = full.path_to(via)
+                tail, tail_arcs = remote.path_to(via)
+                detour = head + tail[-2::-1]
+                if len(set(detour)) != len(detour):
+                    continue
+                detour_arcs = head_arcs + [arc ^ 1 for arc in reversed(tail_arcs)]
+                priced, _ = price_path(state, detour, detour_arcs, req, params)
+                if priced is not None:
+                    event("dropped detour priced")
+                    assert priced[1] > limit
+
+    def test_no_incumbent_keeps_every_via(self, monkeypatch):
+        # The initial path 0-1 cannot host the VSNF, so no path places before
+        # the detour round and nothing bounds it: both richer nodes become vias.
+        net = build_net([1000, 1000, 10**10, 10**10], [(0, 1), (0, 2), (2, 1), (1, 3)])
+        state = NetworkState.fresh(net)
+        req = request(0, [1], chain(vsnf(gamma=9.5), beta=10**6, lam=0.4))
+        bounded = []
+
+        def no_proof(*args):
+            raise AssertionError("the proof ran without an incumbent")
+
+        def recording_detour_bounds(*args):
+            bounded.append(args[-1])
+            return detour_bounds(*args)
+
+        monkeypatch.setattr(heuristic, "detour_vias", no_proof)
+        monkeypatch.setattr(heuristic, "detour_bounds", recording_detour_bounds)
+        out = pess_embed(state, req, PARAMS)
+        assert bounded == [[2, 3]]
+        assert out.embedding.chains[0].vsnf_nodes == (2,)
+
+    def test_incumbent_that_breaks_a_running_chain_keeps_every_via(self, monkeypatch):
+        # Node 2 has the most CPU but hangs off the path 0-1 behind a thin
+        # link, so the proof drops it. That is sound only if the path 0-1
+        # passes its recheck; when it does not, node 2 stays a via.
+        net = build_net([10**10, 10**10, 2 * 10**10], [(0, 1), (1, 2, {"bandwidth": 2000})])
+        state = NetworkState.fresh(net)
+        req = request(0, [1], chain(vsnf(gamma=9.5), beta=1000, lam=0.4))
+        proofs, bounded = [], []
+
+        def recording_detour_vias(*args):
+            proofs.append(detour_vias(*args))
+            return proofs[-1]
+
+        def recording_detour_bounds(*args):
+            bounded.append(args[-1])
+            return detour_bounds(*args)
+
+        monkeypatch.setattr(heuristic, "detour_vias", recording_detour_vias)
+        monkeypatch.setattr(heuristic, "detour_bounds", recording_detour_bounds)
+        assert pess_embed(state, req, PARAMS, register=False).accepted
+        assert (proofs, bounded) == ([[]], [])
+
+        class Broken:
+            ok = False
+
+        monkeypatch.setattr(heuristic, "recheck_operational", lambda *args: Broken())
+        out = pess_embed(state, req, PARAMS, register=False)
+        assert (out.reason, out.violation) == (REASON_INFEASIBLE, "op-latency")
+        assert (proofs, bounded) == ([[], []], [[2]])
 
 
 class TestPessEmbed:
@@ -640,30 +815,44 @@ def _loaded_ba300(cpu_capacity=DEFAULT_CPU_CAPACITY):
     return net, state
 
 
+def _outcome(out):
+    return (out.embedding.to_dict() if out.accepted else None, repr(out.cost),
+            out.chain_latencies, out.reason, out.violation)
+
+
 def test_detour_decisions_pinned(monkeypatch):
     """Every pess_embed outcome of unpinned requests on a loaded BA(300,2),
     and on a CPU-scarce one (5e9 cycles/s per node instead of 6.72e10),
     where far more of the accepted requests take a detour."""
     trees = []
+    proofs = []
 
     class CountingTree(_Tree):
         def __init__(self, *args):
             super().__init__(*args)
             trees.append(self)
 
+    def counting_detour_vias(*args):
+        proofs.append(args)
+        return detour_vias(*args)
+
     monkeypatch.setattr(heuristic, "_Tree", CountingTree)
+    monkeypatch.setattr(heuristic, "detour_vias", counting_detour_vias)
     counts = {}
     for name, cpu_capacity in (("loaded", DEFAULT_CPU_CAPACITY), ("cpu-scarce", 5 * 10**9)):
         net, state = _loaded_ba300(cpu_capacity)
         digest = hashlib.sha256()
-        expansions = accepted = detours = 0
+        decided = rounds = accepted = detours = 0
         for req in _detour_requests(net, random.Random(17), 150):
             trees.clear()
+            proofs.clear()
             out = pess_embed(state, req, PARAMS, register=False)
-            digest.update(repr((out.embedding.to_dict() if out.accepted else None,
-                                repr(out.cost), out.chain_latencies, out.reason,
-                                out.violation)).encode())
-            expansions += len(trees) > 1
+            digest.update(repr(_outcome(out)).encode())
+            # A request reaches the detour decision when some node beyond its
+            # initial paths has more CPU: the proof then runs, or, with no
+            # incumbent, the round does. A round builds the anchor's tree.
+            decided += bool(proofs) or len(trees) > 1
+            rounds += len(trees) > 1
             if out.accepted:
                 accepted += 1
                 initial = _Tree(net, state.residual_beta, req.ep1,
@@ -674,38 +863,89 @@ def test_detour_decisions_pinned(monkeypatch):
                 hosts = {node for cemb in out.embedding.chains
                          for segment in cemb.segments for node in segment}
                 detours += not hosts <= on_initial
-        counts[name] = (expansions, accepted, detours)
+        counts[name] = (decided, rounds, accepted, detours)
         assert digest.hexdigest() == DETOUR_DIGESTS[name]
-    assert counts["loaded"][0] > 60 and counts["loaded"][1] > 100
-    assert counts["cpu-scarce"][0] > 80 and counts["cpu-scarce"][2] > 15
+    assert counts["loaded"][0] > 60 and counts["loaded"][2] > 100
+    assert counts["cpu-scarce"][0] > 80 and counts["cpu-scarce"][3] > 15
+    assert counts["loaded"][1] > 15 and counts["cpu-scarce"][1] > 60
 
 
 def test_detours_priced_only_when_reached(monkeypatch):
     # An accepted request prices about one initial path per remote endpoint
-    # and the few detours whose bounds the scan reaches; pricing every
-    # detour would keep every decision but cost one price_path per bound.
+    # and the few detours whose bounds the scan reaches. Pricing every detour
+    # would keep every decision but cost one price_path per via that reaches
+    # the detour decision: those the round still bounds and those the proof
+    # drops.
     net, state = _loaded_ba300()
-    priced = bounded = 0
+    priced = vias = 0
 
     def counting_price_path(*args):
         nonlocal priced
         priced += 1
         return price_path(*args)
 
+    def counting_detour_vias(*args):
+        nonlocal vias
+        kept = detour_vias(*args)
+        vias += len(args[6]) - len(kept)
+        return kept
+
     def counting_detour_bounds(*args):
-        nonlocal bounded
+        nonlocal vias
         bounds = detour_bounds(*args)
-        bounded += len(bounds)
+        vias += len(bounds)
         return bounds
 
     monkeypatch.setattr(heuristic, "price_path", counting_price_path)
+    monkeypatch.setattr(heuristic, "detour_vias", counting_detour_vias)
     monkeypatch.setattr(heuristic, "detour_bounds", counting_detour_bounds)
     accepted = 0
     for req in _detour_requests(net, random.Random(17), 150):
-        before = priced, bounded
+        before = priced, vias
         if pess_embed(state, req, PARAMS, register=False).accepted:
             accepted += 1
         else:
-            priced, bounded = before
-    assert accepted > 100 and bounded > 20 * accepted
+            priced, vias = before
+    assert accepted > 100 and vias > 20 * accepted
     assert priced < 5 * accepted
+
+
+def test_proof_changes_no_outcome(monkeypatch):
+    """Every outcome, violation included, is the one a detour round that
+    keeps every via gives: unpinned requests on both loaded BA(300,2)
+    states, and the first 300 arrivals of a BA(1000,2) stream at 3000
+    Erlang, where every request runs on the state the ones before it left."""
+    dropped = {}
+
+    def counting(workload):
+        def counting_detour_vias(*args):
+            kept = detour_vias(*args)
+            dropped[workload] = dropped.get(workload, 0) + len(args[6]) - len(kept)
+            return kept
+        return counting_detour_vias
+
+    def keep_every_via(state, req, params, weights, user, anchor, expansion, limit):
+        return sorted(expansion)
+
+    ba1000 = generate_barabasi_albert(1000, 2, seed=0)
+    stream = generate_stream(ba1000, WorkloadConfig(3000, 300, 0), 1)
+
+    def outcomes(proof):
+        records = {}
+        for name, cpu_capacity in (("loaded", DEFAULT_CPU_CAPACITY), ("cpu-scarce", 5 * 10**9)):
+            monkeypatch.setattr(heuristic, "detour_vias", proof(name))
+            net, state = _loaded_ba300(cpu_capacity)
+            records[name] = [_outcome(pess_embed(state, req, PARAMS, register=False))
+                             for req in _detour_requests(net, random.Random(17), 150)]
+        monkeypatch.setattr(heuristic, "detour_vias", proof("ba1000"))
+        state = NetworkState.fresh(ba1000)
+
+        def solve(_, arrival):
+            return pess_embed(state, arrival.request, PARAMS)
+
+        records["ba1000"] = [_outcome(out) for _, _, out in replay(state, stream, solve)]
+        return records
+
+    with_proof = outcomes(counting)
+    assert all(dropped[name] > 100 for name in with_proof)
+    assert outcomes(lambda _: keep_every_via) == with_proof
