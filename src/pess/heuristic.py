@@ -2,12 +2,22 @@
 
 One request grows a residual-bandwidth-weighted Dijkstra tree from the user
 endpoint until the candidate remote endpoints are settled; their tree paths
-are the initial candidates. A detour round follows when some node beyond
-those paths has residual CPU that strictly beats everything they touch: the
-user-side tree is grown on toward those nodes, and one tree is grown from
-the detour anchor (the remote end of the best feasible initial path) toward
-them. Each such node ``via`` gives one detour: the user tree's path to it,
-then the anchor tree's path back.
+are the initial candidates. The tree is goal-directed (``_Tree.reach``): a
+backward search from the remote endpoints bounds each node's distance to
+one from below, and a node whose distance plus bound exceeds the dearest
+endpoint's best known path, raised by ``BOUND_SLACK``, is deferred
+unsettled, since no cheapest path to an endpoint runs through it. Every
+settled node still holds a full search's distance and parent: deferral is
+decided when a node is popped, against the bounds of that moment, and when
+deferred nodes are settled later, a node takes a parent tied on distance
+that a full search would have settled first.
+
+A detour round follows when some node beyond those paths has residual CPU
+that strictly beats everything they touch: the user-side tree is grown on
+toward those nodes, and one tree is grown from the detour anchor (the remote
+end of the best feasible initial path) toward them. Each such node ``via``
+gives one detour: the user tree's path to it, then the anchor tree's path
+back.
 
 Candidates are scanned best-first, in ``(cost, len(path), path)`` order,
 from one heap; the first that places, passes its checks and breaks no
@@ -18,17 +28,26 @@ that bound pops; the scan order, and so the decision, is the one a full
 sort of every priced path would give.
 
 Before the round grows a tree, the anchor's own path is the incumbent.
-Searches under link weights that bound both directions from below
-(``detour_vias``) rule out the vias whose every detour costs more than it,
-and the round grows toward the rest only, or not at all. A ruled-out detour
-would pop after the incumbent, and the incumbent, once it passes the
-operational recheck, is accepted when it pops: the decision stays the same.
+Searches that weigh each arc by the chains crossing it in each direction
+(``detour_vias``) decide every via: those whose every detour costs more than
+the incumbent are ruled out, and the round grows toward the rest only, or
+not at all. A ruled-out detour would pop after the incumbent, and the
+incumbent, once it passes the operational recheck, is accepted when it
+pops: the decision stays the same.
+
+Float rounding. Path lengths and bounds are sums of non-negative terms,
+each operation off by at most a relative 2**-53, so on an ``n``-node network
+no sum is off by more than about a relative ``n * 2**-52`` (2e-13 at n =
+1000). ``BOUND_SLACK`` is far above that: a detour's lower bound is lowered
+by it and the tree's limit raised by it, so rounding can neither drop a
+detour nor defer a node that is needed.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from itertools import compress
 from dataclasses import dataclass, replace
 
 from .service import UP, ServiceRequest
@@ -40,7 +59,6 @@ from .state import (
     NetworkState,
     arc_demands,
     chain_latency,
-    cpu_demand,
     recheck_operational,
     validate_request_nodes,
 )
@@ -49,7 +67,8 @@ from .topology import NodeId, PhysicalNetwork
 REASON_NO_ROUTE = "no-route"
 REASON_INFEASIBLE = "infeasible"
 
-# Relative amount taken off a detour's cost bound, far above float rounding.
+# Relative margin, far above float rounding, by which a detour's cost bound
+# is lowered and the initial tree's limit raised.
 BOUND_SLACK = 1e-9
 
 # VSNF hosts per chain, and the cost of the candidate they make.
@@ -83,8 +102,17 @@ class _Tree:
     """Cheapest-residual-bandwidth search tree from ``source``, grown on demand.
 
     Arcs whose residual cannot carry the request's total bandwidth are never
-    relaxed. Settled distances and parents are final, so growing the tree
-    toward more targets reads the same values a fresh search would.
+    relaxed. Every settled node holds the distance and parent a full search
+    gives it, whichever of ``reach`` and ``grow`` settled it, so growing the
+    tree toward more targets reads the same values a fresh search would.
+
+    ``reach`` grows the tree toward its first targets and leaves off nodes
+    that its bounds show lie on no cheapest path to one; their entries wait in
+    ``deferred`` until ``grow`` puts them back. A deferred node then settles
+    after heavier ones, so ``grow`` also moves a node to a parent tied on
+    distance when the parent sorts first in ``(dist, node)``, the order in
+    which a full search settles them and so keeps the first. A search that
+    never deferred settles in that order anyway and never moves a parent.
     """
 
     def __init__(
@@ -106,12 +134,18 @@ class _Tree:
         self.done = [False] * net.n_nodes
         self.dist[source] = 0.0
         self.heap: list[tuple[float, NodeId]] = [(0.0, source)]
+        self.deferred: list[tuple[float, NodeId]] = []
 
     def grow(self, targets) -> None:
-        """Settle nodes until every target is settled or none is left reachable."""
+        """Settle nodes until every target is settled or none is left
+        reachable, first putting back the entries ``reach`` deferred."""
         dist, parent, parent_arc, done = self.dist, self.parent, self.parent_arc, self.done
         residual_beta, beta_bar, delta = self.residual_beta, self.beta_bar, self.delta
         adjacency, heap = self.net.adjacency, self.heap
+        if self.deferred:
+            heap += self.deferred
+            heapq.heapify(heap)
+            self.deferred = []
         remaining = {t for t in targets if not done[t]}
         while remaining and heap:
             d, here = heapq.heappop(heap)
@@ -126,11 +160,134 @@ class _Tree:
                 if residual < beta_bar:
                     continue
                 candidate = d + beta_bar / (residual + delta)
+                known = dist[neighbor]
+                if candidate < known or (
+                    candidate == known and (d, here) < (dist[parent[neighbor]], parent[neighbor])
+                ):
+                    dist[neighbor] = candidate
+                    parent[neighbor] = here
+                    parent_arc[neighbor] = arc
+                    if candidate < known:
+                        heapq.heappush(heap, (candidate, neighbor))
+
+    def reach(self, targets) -> None:
+        """Settle every target reachable from the source, as ``grow`` does,
+        but leave off the nodes that lie on no cheapest path to a target.
+
+        A backward search from the targets, over the same arcs reversed,
+        runs against the forward one and bounds each node's distance to a
+        target from below: by its backward distance once that search has
+        settled it, before that by the backward frontier's least key. Each
+        node the two searches both reach gives a path to a target, and the
+        limit is the dearest target's cheapest known path (infinite until
+        every target has one). A forward pop ``(d, v)`` settles when ``d +
+        bound(v)`` is at most the limit raised once by ``BOUND_SLACK``, and
+        goes to ``deferred`` unsettled when it exceeds the limit raised twice.
+        A push that the pop would defer is deferred at once.
+
+        Why every settled node is final. The bounds are consistent
+        (``bound(u) <= w(u, v) + bound(v)`` on every arc searched), they only
+        rise and the limit only falls, so along a cheapest path ``d + bound``
+        never falls by more than rounding: a relative ``n * 2**-52`` at most
+        on an ``n``-node network, far below ``BOUND_SLACK``. A node on the
+        cheapest path to a settled node, or one of its tied parents, was
+        therefore never deferred, and the settled node took its final
+        distance and parent. A target's value is its distance, at most the
+        limit up to rounding, so every reachable target settles. A pop
+        between the two raised limits is the one case where rounding could
+        blur this; it never lies on a cheapest path to a target, so it is
+        rare chance, and then its entry goes back and ``grow``, which defers
+        nothing, does the rest.
+        """
+        dist, parent, parent_arc, done = self.dist, self.parent, self.parent_arc, self.done
+        residual_beta, beta_bar, delta = self.residual_beta, self.beta_bar, self.delta
+        adjacency, heap, deferred = self.net.adjacency, self.heap, self.deferred
+        heappop, heappush, inf = heapq.heappop, heapq.heappush, math.inf
+        n = self.net.n_nodes
+        # Backward distance to the nearest target, the target it leads to,
+        # and per target the cheapest path found to it.
+        back = [inf] * n
+        root = [-1] * n
+        upper = {}
+        for target in targets:
+            back[target] = 0.0
+            root[target] = target
+            upper[target] = dist[target]
+        back_heap = [(0.0, target) for target in upper]
+        # A pop settles at value ``limit`` or below and is deferred above
+        # ``hopeless``: the dearest target's path raised once and twice.
+        raised = 1.0 + BOUND_SLACK
+        limit = max(upper.values()) * raised
+        hopeless = limit * raised
+        remaining = {t for t in upper if not done[t]}
+        # The backward frontier's least key: no node it has yet to settle is nearer.
+        frontier = 0.0
+        while remaining and heap:
+            # Grow the backward search while it trails the forward one and
+            # can still tighten a bound that decides a forward pop.
+            top = heap[0][0]
+            if frontier < top and top + frontier <= limit:
+                key, here = heappop(back_heap)
+                if key == back[here]:
+                    target = root[here]
+                    for neighbor, arc in adjacency[here]:
+                        if back[neighbor] <= key:
+                            continue
+                        residual = residual_beta[arc ^ 1]
+                        if residual < beta_bar:
+                            continue
+                        candidate = key + beta_bar / (residual + delta)
+                        if candidate < back[neighbor]:
+                            back[neighbor] = candidate
+                            root[neighbor] = target
+                            heappush(back_heap, (candidate, neighbor))
+                            cost = dist[neighbor] + candidate
+                            if cost < upper[target]:
+                                upper[target] = cost
+                                limit = max(upper.values()) * raised
+                                hopeless = limit * raised
+                frontier = back_heap[0][0] if back_heap else inf
+                continue
+            d, here = heappop(heap)
+            if d > dist[here]:
+                continue
+            bound = back[here]
+            if bound > frontier:
+                bound = frontier
+            if d + bound > limit:
+                if d + bound > hopeless:
+                    deferred.append((d, here))
+                    continue
+                heappush(heap, (d, here))
+                self.grow(remaining)
+                return
+            done[here] = True
+            remaining.discard(here)
+            for neighbor, arc in adjacency[here]:
+                if done[neighbor]:
+                    continue
+                residual = residual_beta[arc]
+                if residual < beta_bar:
+                    continue
+                candidate = d + beta_bar / (residual + delta)
                 if candidate < dist[neighbor]:
                     dist[neighbor] = candidate
                     parent[neighbor] = here
                     parent_arc[neighbor] = arc
-                    heapq.heappush(heap, (candidate, neighbor))
+                    bound = back[neighbor]
+                    if bound < inf:
+                        target = root[neighbor]
+                        if candidate + bound < upper[target]:
+                            upper[target] = candidate + bound
+                            limit = max(upper.values()) * raised
+                            hopeless = limit * raised
+                    if bound > frontier:
+                        bound = frontier
+                    # An entry the pop would defer is deferred now.
+                    if candidate + bound > hopeless:
+                        deferred.append((candidate, neighbor))
+                    else:
+                        heappush(heap, (candidate, neighbor))
 
     def path_to(self, target: NodeId) -> tuple[tuple[NodeId, ...], list[int]]:
         """Tree path from the source to a settled ``target``, and its arcs."""
@@ -245,8 +402,8 @@ def price_path(
                 for idx in range(at - 1, to - 1, -1):
                     cost += beta / (residual_beta[arcs[idx] ^ 1] + delta)
             at = to
-        for node, spec in zip(hosts, chain.vsnfs):
-            cost += alpha * cpu_demand(spec.gamma_u, beta) / (residual_gamma[node] + delta)
+        for node, demand in zip(hosts, chain.cpu_demands):
+            cost += alpha * demand / (residual_gamma[node] + delta)
     return (tuple(hosts_by_chain), cost), None
 
 
@@ -254,9 +411,7 @@ def detour_weights(req: ServiceRequest, params: CostParams) -> tuple[int, int, f
     """The weights of a detour's cost bound: the up chains' total bandwidth,
     the down chains', and ``alpha`` times the request's CPU demand."""
     up_beta = sum(chain.beta_req for chain in req.chains if chain.direction == UP)
-    cpu_weight = params.alpha * sum(
-        cpu_demand(spec.gamma_u, chain.beta_req) for chain in req.chains for spec in chain.vsnfs
-    )
+    cpu_weight = params.alpha * sum(sum(chain.cpu_demands) for chain in req.chains)
     return up_beta, req.total_bandwidth() - up_beta, cpu_weight
 
 
@@ -321,28 +476,26 @@ def detour_vias(
     most ``limit``; a detour through any other costs more.
 
     The detour through ``via`` is ``user``'s tree path to it, then the anchor
-    tree's path back (see ``detour_bounds``). Weigh each link, both ways, by
-    ``beta_bar / (max(r(a), r(a ^ 1)) + delta)``, with ``r`` the residual
-    bandwidth and ``beta_bar`` the request's total. Each chain crosses every
-    arc of a detour at least once, in its own direction, so it pays at least
-    its share of that weight, and the tail costs at least the weighted
-    distance from the anchor to ``via``. The head costs at least the weighted
-    distance from ``ep1``; once ``user`` has settled ``via`` it costs its up
-    and down path sums, as in ``detour_bounds``. Every VSNF sits on a node
-    with at most the largest residual CPU, so the CPU terms add at least
-    ``alpha`` times the demand over that plus ``delta``, pinned VSNFs
+    tree's path back (see ``detour_bounds``). Both trees use only arcs that
+    carry ``beta_bar``, the request's total bandwidth, away from their root.
+    Every up chain crosses each arc of a detour forward at least once and
+    every down chain backward, so an arc ``a`` that the user tree walks costs
+    at least ``up / (r(a) + delta) + down / (r(a ^ 1) + delta)``, with ``r``
+    the residual bandwidth and ``up`` and ``down`` the two directions' total
+    bandwidth. An arc the anchor tree walks is crossed the other way round,
+    so its weight swaps ``up`` and ``down``. The head then costs at least the
+    weighted distance from ``ep1``, and exactly its up and down path sums
+    once ``user`` has settled ``via``, as in ``detour_bounds``; the tail costs
+    at least the weighted distance from the anchor. Every VSNF sits on a
+    node with at most the largest residual CPU, so the CPU terms add at
+    least ``alpha`` times the demand over that plus ``delta``, pinned VSNFs
     included. A via goes when this bound, less ``BOUND_SLACK``, exceeds
-    ``limit``. Links that carry ``beta_bar`` neither way are skipped, as the
-    trees skip them.
+    ``limit``.
 
     One search grows from ``ep1`` and one from the anchor, in turn, until
-    every via is settled by both or its bound exceeds ``limit`` anyway: a
-    node a search has not settled is at least its frontier's distance away.
-    A via the user tree has settled also stays at once when twice its head
-    plus the anchor's head fits: back to ``ep1`` and out to the anchor along
-    the user tree is a path no heavier than that. The work stops at the
-    first via that stays, since the round then runs anyway; every via not yet
-    ruled out stays with it.
+    every via is resolved: a via stays as soon as paths found so far fit,
+    and the rest go once the least bound left exceeds ``limit``, a node a
+    search has not settled being at least its frontier's distance away.
     """
     up_beta, down_beta, cpu_weight = weights
     beta_bar = up_beta + down_beta
@@ -354,17 +507,20 @@ def detour_vias(
         return []
 
     # Per side (0: from ep1, 1: from the anchor), each pending via's part
-    # once known, and a heap of the vias known on that side alone.
+    # once known, and a heap of the vias known on that side alone. The heads
+    # of the vias the user tree has settled are known from the start.
     pending = set(expansion)
-    known: tuple[dict[NodeId, float], dict[NodeId, float]] = ({}, {})
-    alone: tuple[list, list] = ([], [])
+    known0: dict[NodeId, float] = {}
+    known1: dict[NodeId, float] = {}
+    alone0: list[tuple[float, NodeId]] = []
+    alone1: list[tuple[float, NodeId]] = []
     kept: list[NodeId] = []
     head = {req.ep1: 0.0}
     parent, parent_arc = user.parent, user.parent_arc
-    for target in (anchor, *expansion):
-        if user.done[target]:
+    for via in expansion:
+        if user.done[via]:
             walk = []
-            node = target
+            node = via
             while node not in head:
                 walk.append(node)
                 node = parent[node]
@@ -374,42 +530,43 @@ def detour_vias(
                 cost += up_beta / (residual_beta[arc] + delta)
                 cost += down_beta / (residual_beta[arc ^ 1] + delta)
                 head[node] = cost
-            if target != anchor:
-                known[0][target] = cost
-                alone[0].append((cost, target))
-                # Back to ep1 and out to the anchor along the user tree: a
-                # path whose weight is at most the two heads bounds the tail.
-                if 2.0 * cost + head[anchor] <= budget:
-                    kept.append(target)
-                    pending.discard(target)
-                    break
-    heapq.heapify(alone[0])
-    unknown = len(expansion) - len(known[0])  # vias known on neither side
+            known0[via] = cost
+            alone0.append((cost, via))
+    heapq.heapify(alone0)
+    unknown = len(expansion) - len(known0)  # vias known on neither side
 
     n = state.net.n_nodes
-    dist = ([math.inf] * n, [math.inf] * n)
-    dist[0][req.ep1] = dist[1][anchor] = 0.0
-    frontier: tuple[list, list] = ([(0.0, req.ep1)], [(0.0, anchor)])
-    alone0, alone1 = alone
+    dist0, dist1 = [math.inf] * n, [math.inf] * n
+    dist0[req.ep1] = dist1[anchor] = 0.0
+    heap0, heap1 = [(0.0, req.ep1)], [(0.0, anchor)]
+    # Per side: its distances, frontier, known parts and vias known on it
+    # alone; the other side's distances and known parts; and the bandwidth
+    # an arc walked away from the side's root carries forward and backward,
+    # that is the up chains' and the down chains' from ep1, and the other
+    # way round from the anchor.
+    sides = (
+        (dist0, heap0, known0, alone0, dist1, known1, up_beta, down_beta),
+        (dist1, heap1, known1, alone1, dist0, known0, down_beta, up_beta),
+    )
     # Each frontier's least key: no node its search has yet to settle is nearer.
     reach0 = reach1 = 0.0
     heappop, heappush = heapq.heappop, heapq.heappush
-    while pending and not kept:
+    while pending:
         # The least bound over the vias known on neither side, on the ep1
         # side alone and on the anchor side alone; grow the side it waits on.
         while alone0 and alone0[0][1] not in pending:
             heappop(alone0)
         while alone1 and alone1[0][1] not in pending:
             heappop(alone1)
-        least, side = (reach0 + reach1, int(reach1 < reach0)) if unknown else (math.inf, 0)
+        least, side = (reach0 + reach1, reach1 < reach0) if unknown else (math.inf, False)
         if alone0 and alone0[0][0] + reach1 < least:
-            least, side = alone0[0][0] + reach1, 1
+            least, side = alone0[0][0] + reach1, True
         if alone1 and alone1[0][0] + reach0 < least:
-            least, side = alone1[0][0] + reach0, 0
+            least, side = alone1[0][0] + reach0, False
         if least > budget:
             break
-        side_dist, side_heap, side_known = dist[side], frontier[side], known[side]
-        other_dist, other_known = dist[1 - side], known[1 - side]
+        (side_dist, side_heap, side_known, side_alone,
+         other_dist, other_known, forward_beta, backward_beta) = sides[side]
         here_dist, here = heappop(side_heap)
         if here_dist == side_dist[here]:
             if here in pending and here not in side_known:
@@ -419,18 +576,18 @@ def detour_vias(
                     pending.discard(here)
                 else:
                     side_known[here] = here_dist
-                    heappush(alone[side], (here_dist, here))
+                    heappush(side_alone, (here_dist, here))
                     unknown -= 1
             # A neighbour already this near is settled or needs nothing from here.
             for neighbor, arc in adjacency[here]:
                 if side_dist[neighbor] <= here_dist:
                     continue
                 residual = residual_beta[arc]
-                if residual_beta[arc ^ 1] > residual:
-                    residual = residual_beta[arc ^ 1]
                 if residual < beta_bar:
                     continue
-                candidate = here_dist + beta_bar / (residual + delta)
+                candidate = here_dist + forward_beta / (residual + delta)
+                if backward_beta:
+                    candidate += backward_beta / (residual_beta[arc ^ 1] + delta)
                 if candidate < side_dist[neighbor]:
                     side_dist[neighbor] = candidate
                     heappush(side_heap, (candidate, neighbor))
@@ -439,17 +596,15 @@ def detour_vias(
                     # part is found this way, so this also keeps each via
                     # whose final parts fit.
                     if neighbor in pending and neighbor not in side_known:
-                        if candidate + other_known.get(neighbor, other_dist[neighbor]) <= budget:
+                        other = other_known.get(neighbor)
+                        if candidate + (other_dist[neighbor] if other is None else other) <= budget:
                             pending.discard(neighbor)
                             kept.append(neighbor)
+                            unknown -= other is None
         if side:
             reach1 = side_heap[0][0] if side_heap else math.inf
         else:
             reach0 = side_heap[0][0] if side_heap else math.inf
-    if kept:
-        kept += [
-            via for via in pending if known[0].get(via, reach0) + known[1].get(via, reach1) <= budget
-        ]
     kept.sort()
     return kept
 
@@ -541,6 +696,11 @@ def pess_embed(
     its cost, and is walked out of the trees and priced only when the scan
     reaches that bound.
 
+    The initial paths come from the user tree grown by ``_Tree.reach``,
+    which settles only nodes that may lie on a cheapest path to a remote
+    endpoint; the detour round grows the same tree on, and every node it
+    reads holds a full search's distance and parent.
+
     The detour round skips every via through which ``detour_vias`` proves
     each detour dearer than the incumbent, the cheapest initial path that
     places, once that path also passes the operational recheck: such a
@@ -555,8 +715,8 @@ def pess_embed(
     beta_bar = req.total_bandwidth()
 
     user = _Tree(net, state.residual_beta, req.ep1, beta_bar, params.delta)
-    user.grow(req.ep2_set)
-    reached = [t for t in sorted(req.ep2_set) if not math.isinf(user.dist[t])]
+    user.reach(req.ep2_set)
+    reached = [t for t in sorted(req.ep2_set) if user.done[t]]
     if not reached:
         return EmbedOutcome(None, reason=REASON_NO_ROUTE)
 
@@ -602,14 +762,11 @@ def pess_embed(
         rank(path, arcs)
 
     # Detour round: look for spare CPU beyond whatever the initial paths saw.
-    max_seen = max(state.residual_gamma[node] for node in path_nodes)
-    expansion = {
-        node
-        for node in range(net.n_nodes)
-        if node not in path_nodes
-        and node not in req.veto
-        and state.residual_gamma[node] > max_seen
-    }
+    # No path node has more than max_seen, so the filter leaves them out.
+    residual_gamma = state.residual_gamma
+    max_seen = max(residual_gamma[node] for node in path_nodes)
+    expansion = set(compress(range(net.n_nodes), map(max_seen.__lt__, residual_gamma)))
+    expansion -= req.veto
     if expansion:
         # Anchor at the remote end of the cheapest initial path that places;
         # failing that, at the remote endpoint whose path was cheapest, so

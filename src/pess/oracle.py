@@ -36,7 +36,6 @@ from .state import (
     Embedding,
     NetworkState,
     chain_latency,
-    cpu_demand,
     embedding_cost,
     processing_delay,
     recheck_operational,
@@ -268,8 +267,7 @@ class _Search:
         processing_terms = []
         processing = 0.0
         cpu_cost = 0.0
-        for node, spec in zip(hosts, chain.vsnfs):
-            demand = cpu_demand(spec.gamma_u, chain.beta_req)
+        for node, spec, demand in zip(hosts, chain.vsnfs, chain.cpu_demands):
             cpu[node] = cpu.get(node, 0) + demand
             term = processing_delay(
                 spec.gamma_u,

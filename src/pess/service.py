@@ -26,6 +26,11 @@ class ServiceError(ValueError):
     """Raised for malformed requests or generator configuration."""
 
 
+def cpu_demand(gamma_u: float, beta: int) -> int:
+    """CPU demand in cycles/s of one VSNF processing a beta bits/s flow."""
+    return round(gamma_u * beta)
+
+
 @dataclass(frozen=True)
 class VsnfSpec:
     """One network security function type.
@@ -57,6 +62,8 @@ class Chain:
     lambda_max: float  # end-to-end latency bound, seconds
     sigma: float = 8000.0  # average packet size, bits
     pi_external: float = 0.0  # latency beyond the remote endpoint, seconds
+    # cpu_demand of each VSNF at beta_req, in chain order; derived, not data.
+    cpu_demands: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.direction not in (UP, DOWN):
@@ -75,6 +82,9 @@ class Chain:
         if not self.pi_external >= 0:
             raise ServiceError("pi_external must be >= 0")
         object.__setattr__(self, "vsnfs", tuple(self.vsnfs))
+        beta = self.beta_req
+        demands = tuple([cpu_demand(spec.gamma_u, beta) for spec in self.vsnfs])
+        object.__setattr__(self, "cpu_demands", demands)
 
 
 @dataclass(frozen=True)

@@ -53,11 +53,6 @@ class CostParams:
             raise ValueError("delta must be > 0")
 
 
-def cpu_demand(gamma_u: float, beta: int) -> int:
-    """CPU demand in cycles/s of one VSNF processing a beta bits/s flow."""
-    return round(gamma_u * beta)
-
-
 # -- embeddings ------------------------------------------------------------
 
 
@@ -104,8 +99,8 @@ class Embedding:
     def cpu_demands(self, req: ServiceRequest) -> dict[NodeId, int]:
         demands: dict[NodeId, int] = {}
         for cemb, chain in zip(self.chains, req.chains):
-            for node, spec in zip(cemb.vsnf_nodes, chain.vsnfs):
-                demands[node] = demands.get(node, 0) + cpu_demand(spec.gamma_u, chain.beta_req)
+            for node, demand in zip(cemb.vsnf_nodes, chain.cpu_demands):
+                demands[node] = demands.get(node, 0) + demand
         return demands
 
     def loads(self, req: ServiceRequest, net: PhysicalNetwork) -> tuple[ChainLoad, ...]:
@@ -184,8 +179,8 @@ class ChainLoad:
     @classmethod
     def of(cls, cemb: ChainEmbedding, chain: Chain, net: PhysicalNetwork) -> "ChainLoad":
         vsnfs = tuple(
-            (node, spec.gamma_u * chain.sigma, cpu_demand(spec.gamma_u, chain.beta_req))
-            for node, spec in zip(cemb.vsnf_nodes, chain.vsnfs)
+            (node, spec.gamma_u * chain.sigma, demand)
+            for node, spec, demand in zip(cemb.vsnf_nodes, chain.vsnfs, chain.cpu_demands)
         )
         return cls(cemb, chain, tuple(cemb.arcs(net)), chain_fixed_delay(cemb, chain, net), vsnfs)
 
@@ -249,12 +244,8 @@ def embedding_cost(
             for a, b in zip(seg, seg[1:]):
                 arc = net.arc(a, b)
                 total += chain.beta_req / (state.residual_beta[arc] + delta)
-        for node, spec in zip(cemb.vsnf_nodes, chain.vsnfs):
-            total += (
-                params.alpha
-                * cpu_demand(spec.gamma_u, chain.beta_req)
-                / (state.residual_gamma[node] + delta)
-            )
+        for node, demand in zip(cemb.vsnf_nodes, chain.cpu_demands):
+            total += params.alpha * demand / (state.residual_gamma[node] + delta)
     return total
 
 

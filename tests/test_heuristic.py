@@ -262,6 +262,47 @@ class TestTree:
             if fresh.dist[target] != float("inf"):
                 assert grown.path_to(target) == fresh.path_to(target)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_reached_tree_reads_like_a_full_one(self, data):
+        # reach leaves off nodes on no cheapest path to a target, and grow
+        # later settles them; residuals from a few values make distances tie
+        # (so parents tie), and arcs below beta_bar make some targets
+        # unreachable. A large slack puts pops between the two raised limits,
+        # where reach hands the rest of its growth to grow.
+        draw = data.draw
+        n = draw(st.integers(3, 30))
+        net = generate_barabasi_albert(n, 2, seed=draw(st.integers(0, 99)))
+        residual_beta = [draw(st.sampled_from([10**10, 10**9, 3 * 10**8, 10**3]))
+                         for _ in range(net.n_arcs)]
+        source = draw(st.integers(0, n - 1))
+        targets = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=3))
+        then = draw(st.sets(st.integers(0, n - 1), min_size=1))
+        slack = draw(st.sampled_from([heuristic.BOUND_SLACK, 0.25]))
+        full = _Tree(net, residual_beta, source, 10**6, 1e-6)
+        full.grow(range(n))
+        tree = _Tree(net, residual_beta, source, 10**6, 1e-6)
+        handed_over = []
+        grow = tree.grow
+        tree.grow = lambda targets: handed_over.append(1) or grow(targets)
+
+        def agrees(wanted):
+            for node in range(n):
+                if tree.done[node]:
+                    assert tree.dist[node] == full.dist[node]
+                    assert tree.path_to(node) == full.path_to(node)
+            for target in wanted:
+                assert tree.done[target] == full.done[target]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(heuristic, "BOUND_SLACK", slack)
+            tree.reach(targets)
+        event(f"reach: {'handed over' if handed_over else 'deferred' if tree.deferred else 'full'}")
+        event(f"targets reachable: {sum(full.done[t] for t in targets)} of {len(targets)}")
+        agrees(targets)
+        tree.grow(then)
+        agrees(then)
+
 
 @st.composite
 def detour_instances(draw):
@@ -340,10 +381,11 @@ class TestDetourBound:
                     assert cost - bound <= 1e-6 * cost
 
 
-def _symmetric_distances(state, source, beta_bar, delta):
-    """Plain Dijkstra from ``source`` over the links that carry ``beta_bar``
-    either way, each weighted both ways by ``beta_bar`` over its larger
-    residual plus ``delta``."""
+def _directional_distances(state, source, forward_beta, backward_beta, delta):
+    """Plain Dijkstra from ``source`` over the arcs that carry the request
+    away from it, each arc ``a`` weighted ``forward_beta / (r(a) + delta) +
+    backward_beta / (r(a ^ 1) + delta)``."""
+    beta_bar = forward_beta + backward_beta
     dist = [math.inf] * state.net.n_nodes
     dist[source] = 0.0
     heap = [(0.0, source)]
@@ -352,9 +394,12 @@ def _symmetric_distances(state, source, beta_bar, delta):
         if d > dist[here]:
             continue
         for neighbor, arc in state.net.adjacency[here]:
-            residual = max(state.residual_beta[arc], state.residual_beta[arc ^ 1])
-            if residual >= beta_bar and d + beta_bar / (residual + delta) < dist[neighbor]:
-                dist[neighbor] = d + beta_bar / (residual + delta)
+            if state.residual_beta[arc] < beta_bar:
+                continue
+            weight = (forward_beta / (state.residual_beta[arc] + delta)
+                      + backward_beta / (state.residual_beta[arc ^ 1] + delta))
+            if d + weight < dist[neighbor]:
+                dist[neighbor] = d + weight
                 heapq.heappush(heap, (dist[neighbor], neighbor))
     return dist
 
@@ -391,6 +436,8 @@ class TestDetourVias:
         # detour through a dropped via is priced: each costs strictly more
         # than the limit, so it sorts after the incumbent in (cost, len,
         # path) order whatever its length, and an equal cost would fail.
+        # The user tree is the one pess_embed hands the proof: grown by
+        # reach, so the proof reads exact heads only where it settled.
         state, req, params = instance
         calls = []
 
@@ -415,7 +462,7 @@ class TestDetourVias:
         nodes = range(state.net.n_nodes)
         beta_bar = req.total_bandwidth()
         user = _Tree(state.net, state.residual_beta, req.ep1, beta_bar, params.delta)
-        user.grow(req.ep2_set)
+        user.reach(req.ep2_set)
         full = _Tree(state.net, state.residual_beta, req.ep1, beta_bar, params.delta)
         full.grow(nodes)
         for anchor in sorted(req.ep2_set):
@@ -434,8 +481,8 @@ class TestDetourVias:
             up_beta, down_beta, cpu_weight = weights
             floor = cpu_weight / (max(state.residual_gamma) + params.delta) if cpu_weight else 0.0
             budget = limit / (1.0 - heuristic.BOUND_SLACK) - floor
-            from_ep1 = _symmetric_distances(state, req.ep1, beta_bar, params.delta)
-            from_anchor = _symmetric_distances(state, anchor, beta_bar, params.delta)
+            from_ep1 = _directional_distances(state, req.ep1, up_beta, down_beta, params.delta)
+            from_anchor = _directional_distances(state, anchor, down_beta, up_beta, params.delta)
             settled = [via for via in dropped if user.done[via]]
             sums = user.prefixes(settled, state.residual_gamma, req.veto)
             for via in dropped:

@@ -51,6 +51,15 @@ class TestValidation:
         assert c.beta_req == 5_000_000
         assert isinstance(c.beta_req, int)
 
+    def test_cpu_demands_derived_once(self):
+        # Per-VSNF demands at the coerced bandwidth; not part of the
+        # chain's identity, its repr or the request document.
+        c = chain(vsnf("snort", 9.5), vsnf("openvpn", 31.0), beta=3e0)
+        assert c.cpu_demands == (28, 93)
+        assert c == chain(vsnf("snort", 9.5), vsnf("openvpn", 31.0), beta=3)
+        assert "cpu_demands" not in repr(c)
+        assert "cpu_demands" not in request(0, [1], c).canonical_json()
+
     def test_fractional_bandwidth_rejected(self):
         with pytest.raises(ServiceError, match="integer"):
             Chain(UP, (), 1.5, 0.1)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import build_net, chain, path_net, request, vsnf
-from pess.service import DOWN, UP, ServiceError
+from pess.service import DOWN, UP, ServiceError, cpu_demand
 from pess.state import (
     CapacityError,
     ChainEmbedding,
@@ -16,7 +16,6 @@ from pess.state import (
     chain_fixed_delay,
     chain_latency,
     check_security,
-    cpu_demand,
     embedding_cost,
     full_recheck,
     gamma_threshold,
