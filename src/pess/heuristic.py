@@ -19,27 +19,23 @@ end of the best feasible initial path) toward them. Each such node ``via``
 gives one detour: the user tree's path to it, then the anchor tree's path
 back.
 
-Candidates are scanned best-first, in ``(cost, len(path), path)`` order,
-from one heap; the first that places, passes its checks and breaks no
-running chain wins. Initial paths enter it priced exactly. A detour enters
-it with a lower bound of its cost from per-tree prefix sums
-(``detour_bounds``), and is walked out of the trees and priced only when
-that bound pops; the scan order, and so the decision, is the one a full
-sort of every priced path would give.
+Every candidate is priced exactly (``price_path``), and they are scanned
+in ``(cost, len(path), path)`` order; the first that places, passes its
+checks and breaks no running chain wins.
 
 Before the round grows a tree, the anchor's own path is the incumbent.
 Searches that weigh each arc by the chains crossing it in each direction
 (``detour_vias``) decide every via: those whose every detour costs more than
 the incumbent are ruled out, and the round grows toward the rest only, or
-not at all. A ruled-out detour would pop after the incumbent, and the
-incumbent, once it passes the operational recheck, is accepted when it
-pops: the decision stays the same.
+not at all. A ruled-out detour would sort after the incumbent, and the
+incumbent, once it passes the operational recheck, is accepted when the
+scan reaches it: the decision stays the same.
 
 Float rounding. Path lengths and bounds are sums of non-negative terms,
 each operation off by at most a relative 2**-53, so on an ``n``-node network
 no sum is off by more than about a relative ``n * 2**-52`` (2e-13 at n =
 1000). ``BOUND_SLACK`` is far above that: a detour's lower bound is lowered
-by it and the tree's limit raised by it, so rounding can neither drop a
+by it and the tree's limit raised by it, so rounding can neither rule out a
 detour nor defer a node that is needed.
 """
 
@@ -300,43 +296,6 @@ class _Tree:
         arcs.reverse()
         return tuple(nodes), arcs
 
-    def prefixes(
-        self, targets, residual_gamma: list[int], veto: frozenset[NodeId]
-    ) -> dict[NodeId, tuple[float, float, NodeId | None]]:
-        """Along the tree path to each settled target: the sums of
-        ``1 / (residual + delta)`` over its arcs and over their reverse arcs,
-        and its hotspot (see ``price_path``). Returned for every node on
-        those paths, each worked out once from its parent's."""
-        source = self.source
-        sums = {source: (0.0, 0.0, None if source in veto else source)}
-        parent, parent_arc = self.parent, self.parent_arc
-        residual_beta, delta = self.residual_beta, self.delta
-        for target in targets:
-            pending = []
-            node = target
-            while node not in sums:
-                pending.append(node)
-                node = parent[node]
-            forward, backward, hotspot = sums[node]
-            for node in reversed(pending):
-                arc = parent_arc[node]
-                forward += 1.0 / (residual_beta[arc] + delta)
-                backward += 1.0 / (residual_beta[arc ^ 1] + delta)
-                if node not in veto and _hotter(node, hotspot, residual_gamma):
-                    hotspot = node
-                sums[node] = (forward, backward, hotspot)
-        return sums
-
-
-def _hotter(node: NodeId, than: NodeId | None, residual_gamma: list[int]) -> bool:
-    """Whether ``node`` beats ``than`` as hotspot: more residual CPU, ties to
-    the lower id; anything beats ``None``."""
-    return (
-        than is None
-        or residual_gamma[node] > residual_gamma[than]
-        or (residual_gamma[node] == residual_gamma[than] and node < than)
-    )
-
 
 def price_path(
     state: NetworkState,
@@ -360,7 +319,11 @@ def price_path(
     position = {node: idx for idx, node in enumerate(path)}
     hotspot: NodeId | None = None
     for node in path:
-        if node not in req.veto and _hotter(node, hotspot, residual_gamma):
+        if node not in req.veto and (
+            hotspot is None
+            or residual_gamma[node] > residual_gamma[hotspot]
+            or (residual_gamma[node] == residual_gamma[hotspot] and node < hotspot)
+        ):
             hotspot = node
 
     hosts_by_chain = []
@@ -407,66 +370,10 @@ def price_path(
     return (tuple(hosts_by_chain), cost), None
 
 
-def detour_weights(req: ServiceRequest, params: CostParams) -> tuple[int, int, float]:
-    """The weights of a detour's cost bound: the up chains' total bandwidth,
-    the down chains', and ``alpha`` times the request's CPU demand."""
-    up_beta = sum(chain.beta_req for chain in req.chains if chain.direction == UP)
-    cpu_weight = params.alpha * sum(sum(chain.cpu_demands) for chain in req.chains)
-    return up_beta, req.total_bandwidth() - up_beta, cpu_weight
-
-
-def detour_bounds(
-    state: NetworkState,
-    req: ServiceRequest,
-    params: CostParams,
-    weights: tuple[int, int, float],
-    user: _Tree,
-    remote: _Tree,
-    vias: list[NodeId],
-) -> list[float]:
-    """Lower bounds of ``price_path``'s cost for the detour through each via:
-    ``user``'s tree path to ``via`` followed by ``remote``'s, reversed.
-
-    The bound is the up chains' bandwidth times the forward inverse-residual
-    sums (user tree arcs, reversed remote tree arcs), plus the down chains'
-    times the backward sums, plus ``alpha`` times the request's CPU demand
-    over the hotspot's residual CPU plus ``delta``; the sums and the hotspot
-    come from both trees' paths to ``via``. When no VSNF is region-pinned,
-    ``price_path`` puts every VSNF on the hotspot, so each up chain crosses
-    every arc of the path forward once and each down chain backward once,
-    and the bound is the cost in exact arithmetic. A pinned VSNF only adds
-    to the cost: it sits on a path end, and an up chain's route still runs
-    from the first path node to the last, so it crosses every arc forward at
-    least once (a down chain backward); that end is either vetoed, and the
-    path refused, or has at most the hotspot's residual CPU. Both sides add
-    up a few tens of non-negative terms, each operation rounding by at most
-    a relative 2**-53, so rounding moves them by a relative 1e-14 or so.
-    Taking off ``BOUND_SLACK`` keeps each bound at or below the exact sum.
-    A detour whose path is not simple, or whose nodes are all vetoed, gets a
-    bound all the same; the scan drops it when it walks it.
-    """
-    residual_gamma, veto, delta = state.residual_gamma, req.veto, params.delta
-    up_beta, down_beta, cpu_weight = weights
-    at_user = user.prefixes(vias, residual_gamma, veto)
-    at_remote = remote.prefixes(vias, residual_gamma, veto)
-    bounds = []
-    for via in vias:
-        user_fwd, user_bwd, hotspot = at_user[via]
-        remote_fwd, remote_bwd, remote_hot = at_remote[via]
-        if remote_hot is not None and _hotter(remote_hot, hotspot, residual_gamma):
-            hotspot = remote_hot
-        bound = up_beta * (user_fwd + remote_bwd) + down_beta * (user_bwd + remote_fwd)
-        if cpu_weight and hotspot is not None:
-            bound += cpu_weight / (residual_gamma[hotspot] + delta)
-        bounds.append(bound * (1.0 - BOUND_SLACK))
-    return bounds
-
-
 def detour_vias(
     state: NetworkState,
     req: ServiceRequest,
     params: CostParams,
-    weights: tuple[int, int, float],
     user: _Tree,
     anchor: NodeId,
     expansion: set[NodeId],
@@ -476,29 +383,31 @@ def detour_vias(
     most ``limit``; a detour through any other costs more.
 
     The detour through ``via`` is ``user``'s tree path to it, then the anchor
-    tree's path back (see ``detour_bounds``). Both trees use only arcs that
-    carry ``beta_bar``, the request's total bandwidth, away from their root.
-    Every up chain crosses each arc of a detour forward at least once and
-    every down chain backward, so an arc ``a`` that the user tree walks costs
-    at least ``up / (r(a) + delta) + down / (r(a ^ 1) + delta)``, with ``r``
-    the residual bandwidth and ``up`` and ``down`` the two directions' total
-    bandwidth. An arc the anchor tree walks is crossed the other way round,
-    so its weight swaps ``up`` and ``down``. The head then costs at least the
-    weighted distance from ``ep1``, and exactly its up and down path sums
-    once ``user`` has settled ``via``, as in ``detour_bounds``; the tail costs
-    at least the weighted distance from the anchor. Every VSNF sits on a
-    node with at most the largest residual CPU, so the CPU terms add at
-    least ``alpha`` times the demand over that plus ``delta``, pinned VSNFs
-    included. A via goes when this bound, less ``BOUND_SLACK``, exceeds
-    ``limit``.
+    tree's path back. Both trees use only arcs that carry ``beta_bar``, the
+    request's total bandwidth, away from their root. An up chain's route runs
+    from the first path node to the last whatever hosts its VSNFs, so it
+    crosses each arc of a detour forward at least once, and a down chain
+    backward. An arc ``a`` that the user tree walks so costs at least ``up /
+    (r(a) + delta) + down / (r(a ^ 1) + delta)``, with ``r`` the residual
+    bandwidth and ``up`` and ``down`` the two directions' total bandwidth. An
+    arc the anchor tree walks is crossed the other way round, so its weight
+    swaps ``up`` and ``down``. The head then costs at least the weighted
+    distance from ``ep1``, and exactly the weights summed along ``user``'s
+    path once it has settled ``via``; the tail costs at least the weighted
+    distance from the anchor. Every VSNF sits on a node with at most the
+    largest residual CPU, so the CPU terms add at least ``alpha`` times the
+    request's CPU demand over that plus ``delta``, pinned VSNFs included. A
+    via goes when this bound, less ``BOUND_SLACK``, exceeds ``limit``.
 
     One search grows from ``ep1`` and one from the anchor, in turn, until
     every via is resolved: a via stays as soon as paths found so far fit,
     and the rest go once the least bound left exceeds ``limit``, a node a
     search has not settled being at least its frontier's distance away.
     """
-    up_beta, down_beta, cpu_weight = weights
-    beta_bar = up_beta + down_beta
+    beta_bar = req.total_bandwidth()
+    up_beta = sum(chain.beta_req for chain in req.chains if chain.direction == UP)
+    down_beta = beta_bar - up_beta
+    cpu_weight = params.alpha * sum(sum(chain.cpu_demands) for chain in req.chains)
     residual_beta, delta, adjacency = state.residual_beta, params.delta, state.net.adjacency
     floor = cpu_weight / (max(state.residual_gamma) + delta) if cpu_weight else 0.0
     # A via stays when its head and tail parts add up to at most ``budget``.
@@ -689,12 +598,9 @@ def pess_embed(
 ) -> EmbedOutcome:
     """Try to embed one service request on the current network state.
 
-    Candidate paths are scanned in ``(cost, len(path), path)`` order, the
-    order a full sort of every priced path gives, and the first one that
-    places, passes its checks and breaks no running chain is taken. Initial
-    paths are priced exactly. A detour enters the scan with a lower bound of
-    its cost, and is walked out of the trees and priced only when the scan
-    reaches that bound.
+    Candidate paths are priced exactly and scanned in ``(cost, len(path),
+    path)`` order, and the first one that places, passes its checks and
+    breaks no running chain is taken.
 
     The initial paths come from the user tree grown by ``_Tree.reach``,
     which settles only nodes that may lie on a cheapest path to a remote
@@ -704,9 +610,9 @@ def pess_embed(
     The detour round skips every via through which ``detour_vias`` proves
     each detour dearer than the incumbent, the cheapest initial path that
     places, once that path also passes the operational recheck: such a
-    detour would pop after the incumbent, which is accepted when it pops.
-    So the decision, its cost, latencies and ``violation`` are those of the
-    full round, and with no incumbent the round runs in full.
+    detour would sort after the incumbent, which is accepted when the scan
+    reaches it. So the decision, its cost, latencies and ``violation`` are
+    those of the full round, and with no incumbent the round runs in full.
 
     ``register=False`` evaluates without committing.
     """
@@ -720,10 +626,9 @@ def pess_embed(
     if not reached:
         return EmbedOutcome(None, reason=REASON_NO_ROUTE)
 
-    # Scan heap: priced paths as (cost, 1, len(path), path) and detour
-    # bounds as (bound, 0, via). At equal value a bound pops first. Each
-    # path is built and checked at most once.
-    heap: list[tuple] = []
+    # Priced paths as (cost, len(path), path). Each path is built and checked
+    # at most once.
+    ranked: list[tuple[float, int, tuple[NodeId, ...]]] = []
     checked: dict[tuple[NodeId, ...], tuple[EmbedOutcome | None, str | None]] = {}
     rechecked: dict[tuple[NodeId, ...], bool] = {}
     unplaced: str | None = None
@@ -734,14 +639,7 @@ def pess_embed(
         if placement is None:
             unplaced = unplaced or code
         else:
-            heapq.heappush(heap, (placement[1], 1, len(path), path))
-
-    def detour(remote: _Tree, via: NodeId) -> None:
-        head, head_arcs = user.path_to(via)
-        tail, tail_arcs = remote.path_to(via)
-        joined = head + tail[-2::-1]
-        if len(set(joined)) == len(joined):
-            rank(joined, head_arcs + [arc ^ 1 for arc in reversed(tail_arcs)])
+            ranked.append((placement[1], len(path), path))
 
     def check(path: tuple[NodeId, ...]) -> tuple[EmbedOutcome | None, str | None]:
         if path not in checked:
@@ -773,45 +671,38 @@ def pess_embed(
         # the expansion can still rescue the request.
         anchor = min(reached, key=lambda t: (user.dist[t], t))
         incumbent = None
-        for entry in sorted(heap):
-            if check(entry[3])[0] is not None:
-                anchor, incumbent = entry[3][-1], entry
+        ranked.sort()
+        for entry in ranked:
+            if check(entry[2])[0] is not None:
+                anchor, incumbent = entry[2][-1], entry
                 break
-        weights = detour_weights(req, params)
         if incumbent is not None:
             # A detour dearer than the anchor's path can only matter if that
             # path fails when the scan reaches it, that is, if it breaks a
             # running chain; otherwise the round can leave such vias out.
-            vias = detour_vias(state, req, params, weights, user, anchor, expansion, incumbent[0])
-            if len(vias) < len(expansion) and passes(incumbent[3]):
+            vias = detour_vias(state, req, params, user, anchor, expansion, incumbent[0])
+            if len(vias) < len(expansion) and passes(incumbent[2]):
                 expansion = vias
         if expansion:
             user.grow(expansion)
             remote = _Tree(net, state.residual_beta, anchor, beta_bar, params.delta)
             remote.grow(expansion)
-            vias = [
-                via
-                for via in sorted(expansion)
-                if not math.isinf(user.dist[via]) and not math.isinf(remote.dist[via])
-            ]
-            bounds = detour_bounds(state, req, params, weights, user, remote, vias)
-            for via, bound in zip(vias, bounds):
-                heapq.heappush(heap, (bound, 0, via))
+            for via in sorted(expansion):
+                if user.done[via] and remote.done[via]:
+                    head, head_arcs = user.path_to(via)
+                    tail, tail_arcs = remote.path_to(via)
+                    joined = head + tail[-2::-1]
+                    if len(set(joined)) == len(joined):
+                        rank(joined, head_arcs + [arc ^ 1 for arc in reversed(tail_arcs)])
 
-    # Best-first scan: a popped bound is replaced by its priced detour, which
-    # pops once nothing cheaper is left. Paths tied on (cost, len(path), path)
-    # are the same path.
     violation = None
-    while heap:
-        entry = heapq.heappop(heap)
-        if not entry[1]:
-            detour(remote, entry[2])
-            continue
-        outcome, code = check(entry[3])
+    ranked.sort()
+    for _, _, path in ranked:
+        outcome, code = check(path)
         if outcome is None:
             violation = violation or code
             continue
-        if passes(entry[3]):
+        if passes(path):
             if not register:
                 return outcome
             service_id = state.register(outcome.loads, params)

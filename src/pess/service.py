@@ -265,10 +265,11 @@ def generate_request(
         ep2_set = frozenset(border)
         pi = cfg.external_latency
     else:
-        choices = [i for i in range(net.n_nodes) if i != ep1]
-        if not choices:
+        if net.n_nodes < 2:
             raise ServiceError("need at least two nodes to draw an endpoint pair")
-        ep2_set = frozenset([rng.choice(choices)])
+        # A node other than ep1: the same draw as rng.choice over a list of them.
+        other = rng.randrange(net.n_nodes - 1)
+        ep2_set = frozenset([other + (other >= ep1)])
 
     n_chains = rng.randint(*cfg.chain_count)
     log_lo = math.log(cfg.bandwidth_range[0])

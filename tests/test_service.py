@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import chain, request, vsnf
+from helpers import build_net, chain, request, vsnf
 from pess.service import (
     DOWN,
     UP,
@@ -176,6 +176,18 @@ class TestGenerator:
             assert len(req.ep2_set) == 4
             assert req.ep1 not in req.ep2_set
             assert all(c.pi_external == 0.0 for c in req.chains)
+
+    def test_two_node_net_draws_the_other_node(self):
+        net = build_net([10**10] * 2, [(0, 1)])
+        rng = random.Random(5)
+        for _ in range(50):
+            req = generate_request(net, builtin_catalog(), RequestGenConfig(), rng)
+            assert req.ep2_set == {1 - req.ep1}
+
+    def test_one_node_net_rejected(self):
+        net = build_net([10**10], [])
+        with pytest.raises(ServiceError, match="need at least two nodes"):
+            generate_request(net, builtin_catalog(), RequestGenConfig(), random.Random(0))
 
     def test_degenerate_bounds(self):
         net = self._net()

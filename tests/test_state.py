@@ -355,6 +355,25 @@ class TestRecheck:
         assert full_recheck(state, emb, newcomer, PARAMS).ok
 
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+    def test_guard_recheck_covers_multi_host_chains(self):
+        # Chain A runs on nodes 0 and 1 at 0.92 ms against a 1 ms bound,
+        # chain B on node 1 alone. B's threshold is the higher, so B guards
+        # node 1. A candidate drawing 8.88e8 cycles/s on node 1 leaves B at
+        # 0.8 ms but takes A to 1.06 ms: only an exact recheck of A sees it.
+        net = path_net([9_890_000, 10**9, 10**9])
+        state = NetworkState.fresh(net)
+        a = request(0, [2], chain(vsnf("openvpn", 1.0, region="ep1"), vsnf("vsrx-fw", 2.0),
+                                  lam=1e-3))
+        b = request(0, [2], chain(vsnf("snort", 10.0), lam=1e-3))
+        state.register(single(0, 2, [0, 1], [[0], [0, 1], [1, 2]]).loads(a, net), PARAMS)
+        state.register(single(0, 2, [1], [[0, 1], [1, 2]]).loads(b, net), PARAMS)
+        newcomer = request(0, [2], chain(vsnf("dpi", 1.0), beta=888 * 10**6, lam=0.4))
+        emb = single(0, 2, [1], [[0, 1], [1, 2]])
+        assert not full_recheck(state, emb, newcomer, PARAMS).ok
+        assert not recheck_operational(state, emb, newcomer, PARAMS).ok
+
+
 class TestGuards:
     def brute_force_guard(self, state, node):
         best = None
