@@ -24,12 +24,20 @@ in ``(cost, len(path), path)`` order; the first that places, passes its
 checks and breaks no running chain wins.
 
 Before the round grows a tree, the anchor's own path is the incumbent.
-Searches that weigh each arc by the chains crossing it in each direction
-(``detour_vias``) decide every via: those whose every detour costs more than
-the incumbent are ruled out, and the round grows toward the rest only, or
-not at all. A ruled-out detour would sort after the incumbent, and the
-incumbent, once it passes the operational recheck, is accepted when the
-scan reaches it: the decision stays the same.
+``detour_vias`` bounds every detour from below by two distances, from
+``ep1`` to the via and from the anchor to it, under weights that charge each
+arc for the chains crossing it in each direction, and decides every via in
+two phases. A search from ``ep1`` and one from the anchor grow, the nearer
+frontier first, until the two frontiers add up to more than the incumbent
+allows; a via that neither side settled is then ruled out, and one that both
+did is decided by its two parts. A via that one side alone settled gets a
+small search of its own toward the other side's root: it meets that side's
+labels within what the via's settled part leaves, or shows by the
+meet-in-the-middle argument that no path from the root does. Only a via
+whose every detour costs more than the incumbent is ruled out, and the round
+grows toward the rest only, or not at all. A ruled-out detour would sort
+after the incumbent, and the incumbent, once it passes the operational
+recheck, is accepted when the scan reaches it: the decision stays the same.
 
 Float rounding. Path lengths and bounds are sums of non-negative terms,
 each operation off by at most a relative 2**-53, so on an ``n``-node network
@@ -44,7 +52,7 @@ from __future__ import annotations
 import heapq
 import math
 from itertools import compress
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .service import UP, ServiceRequest
 from .state import (
@@ -397,12 +405,20 @@ def detour_vias(
     distance from the anchor. Every VSNF sits on a node with at most the
     largest residual CPU, so the CPU terms add at least ``alpha`` times the
     request's CPU demand over that plus ``delta``, pinned VSNFs included. A
-    via goes when this bound, less ``BOUND_SLACK``, exceeds ``limit``.
+    via goes when this bound, less ``BOUND_SLACK``, exceeds ``limit``: when
+    its two parts add up to more than a ``budget``.
 
-    One search grows from ``ep1`` and one from the anchor, in turn, until
-    every via is resolved: a via stays as soon as paths found so far fit,
-    and the rest go once the least bound left exceeds ``limit``, a node a
-    search has not settled being at least its frontier's distance away.
+    Balanced phase. One search grows from ``ep1`` and one from the anchor,
+    always the one whose frontier is nearer, until the two frontiers add up
+    to more than the budget. A via stays as soon as labels of both sides,
+    each a real path, fit the budget; a via both sides settle is decided by
+    its two final parts. A via that neither side settled goes: each part is
+    at least its side's frontier.
+
+    One-sided vias. A via that one side alone settled, with part ``p``, is
+    decided by ``_meets_within``: a search from the via toward the other
+    side's root, over that side's arcs reversed, which meets its labels
+    within ``budget - p`` or shows that no path from the root does.
     """
     beta_bar = req.total_bandwidth()
     up_beta = sum(chain.beta_req for chain in req.chains if chain.direction == UP)
@@ -416,13 +432,11 @@ def detour_vias(
         return []
 
     # Per side (0: from ep1, 1: from the anchor), each pending via's part
-    # once known, and a heap of the vias known on that side alone. The heads
-    # of the vias the user tree has settled are known from the start.
+    # once known. The heads of the vias the user tree has settled are known
+    # from the start.
     pending = set(expansion)
     known0: dict[NodeId, float] = {}
     known1: dict[NodeId, float] = {}
-    alone0: list[tuple[float, NodeId]] = []
-    alone1: list[tuple[float, NodeId]] = []
     kept: list[NodeId] = []
     head = {req.ep1: 0.0}
     parent, parent_arc = user.parent, user.parent_arc
@@ -440,42 +454,26 @@ def detour_vias(
                 cost += down_beta / (residual_beta[arc ^ 1] + delta)
                 head[node] = cost
             known0[via] = cost
-            alone0.append((cost, via))
-    heapq.heapify(alone0)
-    unknown = len(expansion) - len(known0)  # vias known on neither side
 
     n = state.net.n_nodes
     dist0, dist1 = [math.inf] * n, [math.inf] * n
     dist0[req.ep1] = dist1[anchor] = 0.0
     heap0, heap1 = [(0.0, req.ep1)], [(0.0, anchor)]
-    # Per side: its distances, frontier, known parts and vias known on it
-    # alone; the other side's distances and known parts; and the bandwidth
-    # an arc walked away from the side's root carries forward and backward,
-    # that is the up chains' and the down chains' from ep1, and the other
-    # way round from the anchor.
+    # Per side: its distances, heap and known parts; the other side's
+    # distances and known parts; and the bandwidth an arc walked away from
+    # the side's root carries forward and backward, that is the up chains'
+    # and the down chains' from ep1, and the other way round from the anchor.
     sides = (
-        (dist0, heap0, known0, alone0, dist1, known1, up_beta, down_beta),
-        (dist1, heap1, known1, alone1, dist0, known0, down_beta, up_beta),
+        (dist0, heap0, known0, dist1, known1, up_beta, down_beta),
+        (dist1, heap1, known1, dist0, known0, down_beta, up_beta),
     )
     # Each frontier's least key: no node its search has yet to settle is nearer.
     reach0 = reach1 = 0.0
     heappop, heappush = heapq.heappop, heapq.heappush
-    while pending:
-        # The least bound over the vias known on neither side, on the ep1
-        # side alone and on the anchor side alone; grow the side it waits on.
-        while alone0 and alone0[0][1] not in pending:
-            heappop(alone0)
-        while alone1 and alone1[0][1] not in pending:
-            heappop(alone1)
-        least, side = (reach0 + reach1, reach1 < reach0) if unknown else (math.inf, False)
-        if alone0 and alone0[0][0] + reach1 < least:
-            least, side = alone0[0][0] + reach1, True
-        if alone1 and alone1[0][0] + reach0 < least:
-            least, side = alone1[0][0] + reach0, False
-        if least > budget:
-            break
-        (side_dist, side_heap, side_known, side_alone,
-         other_dist, other_known, forward_beta, backward_beta) = sides[side]
+    while pending and reach0 + reach1 <= budget:
+        side = reach1 < reach0
+        (side_dist, side_heap, side_known, other_dist, other_known,
+         forward_beta, backward_beta) = sides[side]
         here_dist, here = heappop(side_heap)
         if here_dist == side_dist[here]:
             if here in pending and here not in side_known:
@@ -485,8 +483,6 @@ def detour_vias(
                     pending.discard(here)
                 else:
                     side_known[here] = here_dist
-                    heappush(side_alone, (here_dist, here))
-                    unknown -= 1
             # A neighbour already this near is settled or needs nothing from here.
             for neighbor, arc in adjacency[here]:
                 if side_dist[neighbor] <= here_dist:
@@ -509,13 +505,82 @@ def detour_vias(
                         if candidate + (other_dist[neighbor] if other is None else other) <= budget:
                             pending.discard(neighbor)
                             kept.append(neighbor)
-                            unknown -= other is None
         if side:
             reach1 = side_heap[0][0] if side_heap else math.inf
         else:
             reach0 = side_heap[0][0] if side_heap else math.inf
+    # Left pending: vias one side alone settled, each searched toward the
+    # other side's root, and vias neither settled, which cannot fit.
+    for via in pending:
+        if via in known0:
+            part, other = known0[via], (dist1, reach1, down_beta, up_beta)
+        elif via in known1:
+            part, other = known1[via], (dist0, reach0, up_beta, down_beta)
+        else:
+            continue
+        if _meets_within(state, beta_bar, delta, other, via, budget - part):
+            kept.append(via)
     kept.sort()
     return kept
+
+
+def _meets_within(
+    state: NetworkState,
+    beta_bar: int,
+    delta: float,
+    side: tuple[list[float], float, int, int],
+    via: NodeId,
+    room: float,
+) -> bool:
+    """Whether the root of one side of ``detour_vias`` reaches ``via`` within
+    ``room``, the budget less the part of the via that the other side settled.
+
+    ``side`` is that side's distances, frontier and the bandwidth an arc
+    walked away from its root carries forward and backward; its search has
+    stopped. A search from ``via`` walks the side's arcs reversed, with its
+    weights and its ``beta_bar`` filter, and labels each node with a path's
+    cost from there to the via. It answers yes as soon as a node's label and
+    the side's distance, each a real path, add up to at most ``room``, and
+    no once its least key and the side's frontier add up to more.
+
+    The no is the meet-in-the-middle argument. Say a path from the root to
+    the via costs at most ``room``, and take on it the last node ``x`` that
+    this search has not settled (had it settled the root, at distance 0, it
+    would have met the side there). The label of ``x`` is at most the cost
+    of the path's rest: ``x`` is the via, labelled 0, or the next node on the
+    path is settled and has relaxed the arc between them. Unsettled, that
+    label is at least the least key. Had the side settled ``x``, its distance
+    there would be at most the cost of the path's start and the two would
+    have met, so that start costs at least the frontier. The path then costs
+    more than ``room``: no such path exists.
+    """
+    dist, reach, forward_beta, backward_beta = side
+    residual_beta, adjacency = state.residual_beta, state.net.adjacency
+    heappop, heappush, inf = heapq.heappop, heapq.heappush, math.inf
+    if dist[via] <= room:
+        return True
+    labels = {via: 0.0}
+    heap = [(0.0, via)]
+    while heap:
+        key, here = heappop(heap)
+        if key + reach > room:
+            return False
+        if key > labels[here]:
+            continue
+        for neighbor, arc in adjacency[here]:
+            # The side walks the arc from ``neighbor`` to ``here``.
+            residual = residual_beta[arc ^ 1]
+            if residual < beta_bar:
+                continue
+            candidate = key + forward_beta / (residual + delta)
+            if backward_beta:
+                candidate += backward_beta / (residual_beta[arc] + delta)
+            if candidate < labels.get(neighbor, inf):
+                if dist[neighbor] + candidate <= room:
+                    return True
+                labels[neighbor] = candidate
+                heappush(heap, (candidate, neighbor))
+    return False
 
 
 def check_placement(
@@ -706,7 +771,8 @@ def pess_embed(
             if not register:
                 return outcome
             service_id = state.register(outcome.loads, params)
-            return replace(outcome, service_id=service_id)
+            return EmbedOutcome(outcome.embedding, outcome.cost, outcome.chain_latencies,
+                                outcome.loads, service_id)
         violation = violation or "op-latency"
     # No path ranked at all: name what stopped the first one from placing.
     return EmbedOutcome(None, reason=REASON_INFEASIBLE, violation=violation or unplaced)

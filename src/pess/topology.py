@@ -379,37 +379,6 @@ def load_topology(source: str | Path | Mapping) -> PhysicalNetwork:
     return PhysicalNetwork(nodes, links, regions)
 
 
-def topology_to_doc(net: PhysicalNetwork) -> dict:
-    """Plain-data form of ``net``; feeding it back to load_topology round-trips."""
-    id_to_name = {node.id: node.name or str(node.id) for node in net.nodes}
-    return {
-        "nodes": [
-            {
-                "name": id_to_name[node.id],
-                "capacity": node.gamma_nominal,
-                "queuing_budget": node.queuing_budget,
-            }
-            for node in net.nodes
-        ],
-        "links": [
-            {
-                "endpoints": [id_to_name[link.endpoints[0]], id_to_name[link.endpoints[1]]],
-                "bandwidth": link.beta_nominal,
-                "delay": link.lambda_prop,
-            }
-            for link in net.links
-        ],
-        "regions": {
-            name: sorted(id_to_name[member] for member in members)
-            for name, members in sorted(net.regions.items())
-        },
-    }
-
-
-def dump_topology(net: PhysicalNetwork) -> str:
-    return yaml.safe_dump(topology_to_doc(net), sort_keys=False)
-
-
 def builtin_profile(name: str) -> PhysicalNetwork:
     """Load one of the bundled reference networks ('garr' or 'stanford')."""
     from importlib.resources import files

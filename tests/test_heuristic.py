@@ -395,6 +395,21 @@ def _record_rounds(monkeypatch):
     return rounds
 
 
+def _recording_own_search(decided):
+    """``heuristic._meets_within`` that records in ``decided`` how it
+    decided each via: by the other side's frontier alone, or by its search."""
+    meets_within = heuristic._meets_within
+
+    def recording(state, beta_bar, delta, side, via, room):
+        fits = meets_within(state, beta_bar, delta, side, via, room)
+        decided[via] = ("kept by its own search" if fits
+                        else "dropped by the other frontier" if side[1] > room
+                        else "dropped by its own search")
+        return fits
+
+    return recording
+
+
 class TestDetourVias:
     @settings(max_examples=300, deadline=None)
     @given(detour_instances())
@@ -445,10 +460,16 @@ class TestDetourVias:
                 continue
             limit = placement[1]
             expansion = set(nodes) - set(path) - req.veto
-            kept = detour_vias(state, req, params, user, anchor, expansion, limit)
+            decided = {}
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(heuristic, "_meets_within", _recording_own_search(decided))
+                kept = detour_vias(state, req, params, user, anchor, expansion, limit)
             assert set(kept) <= expansion and kept == sorted(kept)
             dropped = expansion - set(kept)
             event(f"proof dropped {'every' if not kept else 'some' if dropped else 'no'} via")
+            for via in expansion:
+                event(decided.get(via, "via decided by both sides" if via in kept
+                                  else "dropped in the balanced phase"))
             up_beta = sum(c.beta_req for c in req.chains if c.direction == UP)
             down_beta = beta_bar - up_beta
             cpu_weight = params.alpha * sum(sum(c.cpu_demands) for c in req.chains)
@@ -456,7 +477,7 @@ class TestDetourVias:
             budget = limit / (1.0 - heuristic.BOUND_SLACK) - floor
             from_ep1 = _directional_distances(state, req.ep1, up_beta, down_beta, params.delta)
             from_anchor = _directional_distances(state, anchor, down_beta, up_beta, params.delta)
-            for via in dropped:
+            for via in expansion:
                 # A via the user tree settled has an exact head: the weights
                 # summed along its tree path.
                 head = from_ep1[via]
@@ -464,7 +485,13 @@ class TestDetourVias:
                     head = sum(up_beta / (state.residual_beta[arc] + params.delta)
                                + down_beta / (state.residual_beta[arc ^ 1] + params.delta)
                                for arc in user.path_to(via)[1])
-                assert head + from_anchor[via] > budget - 1e-12 * limit
+                # Sound: every dropped via's bound exceeds the budget. Exact:
+                # every kept via's bound fits it, so the proof keeps no more
+                # than it must.
+                if via in dropped:
+                    assert head + from_anchor[via] > budget - 1e-12 * limit
+                else:
+                    assert head + from_anchor[via] <= budget + 1e-12 * limit
             remote = _Tree(state.net, state.residual_beta, anchor, beta_bar, params.delta)
             remote.grow(nodes)
             for via in sorted(dropped):
@@ -480,6 +507,41 @@ class TestDetourVias:
                 if priced is not None:
                     event("dropped detour priced")
                     assert priced[1] > limit
+
+    @staticmethod
+    def _one_sided(edges, monkeypatch):
+        """Run the proof for via 2 from ep1 0 to anchor 1 under a limit of
+        1.0, on links whose residual makes each arc weigh ``w`` for one up
+        chain of 1000 bit/s and no CPU term; return the kept list and how
+        via 2 was decided."""
+        net = build_net([10**10] * 5, [(a, b, {"bandwidth": round(1000 / w)}) for a, b, w in edges])
+        state = NetworkState.fresh(net)
+        req = request(0, [1], chain(beta=1000))
+        params = CostParams(alpha=0.0)
+        user = _Tree(net, state.residual_beta, 0, 1000, params.delta)
+        user.reach(req.ep2_set)
+        decided = {}
+        monkeypatch.setattr(heuristic, "_meets_within", _recording_own_search(decided))
+        return detour_vias(state, req, params, user, 1, {2}, 1.0), decided.get(2)
+
+    def test_own_search_drops_a_via_the_frontier_cannot(self, monkeypatch):
+        # The line 2-0-1-3-4: via 2 is one cheap hop from ep1, and its only
+        # way to the anchor runs back through ep1, 0.3 + 1.0 against the
+        # budget of 1.0 less its head of 0.3. The anchor's cheap dead-end
+        # tail keeps that side's frontier at 0.5 when the balanced phase
+        # stops, below the 0.7 left, so the frontier alone cannot drop the
+        # via; the via's own search does, once its least key reaches 0.3.
+        edges = [(2, 0, 0.3), (0, 1, 1.0), (1, 3, 0.25), (3, 4, 0.25)]
+        assert self._one_sided(edges, monkeypatch) == ([], "dropped by its own search")
+
+    def test_own_search_keeps_a_via_it_meets_within_the_budget(self, monkeypatch):
+        # The ladder with rails 0-1 and 2-4-3 and rungs 0-2 and 1-3. The
+        # balanced phase settles via 2 from ep1 (head 0.3) and node 3 from
+        # the anchor, which labels node 4 at 0.55 without settling it. The
+        # via's own search labels node 4 at 0.1 and meets that label within
+        # the 0.7 left: the detour 0-2-4-3-1 costs 0.95.
+        edges = [(0, 1, 1.0), (0, 2, 0.3), (1, 3, 0.2), (2, 4, 0.1), (4, 3, 0.35)]
+        assert self._one_sided(edges, monkeypatch) == ([2], "kept by its own search")
 
     def test_no_incumbent_keeps_every_via(self, monkeypatch):
         # The initial path 0-1 cannot host the VSNF, so no path places before
