@@ -311,7 +311,7 @@ def compare(obj: dict, loads: str, requests: int, warmup: int, seeds: str | None
 @click.option("--load", type=float, required=True, help="Offered load (Erlang).")
 @click.option("--requests", type=int, default=600, show_default=True)
 @click.option("--warmup", type=int, default=400, show_default=True)
-@click.option("--compare", "compare_n", type=int, default=None,
+@click.option("--compare", "compare_n", type=click.IntRange(min=1), default=None,
               help="How many post-warmup requests to price with the oracle.")
 @click.option("--max-path-len", type=int, default=None)
 @click.option("--max-enumeration", type=int, default=2_000_000, show_default=True)
@@ -359,7 +359,7 @@ def _parse_size(part: str) -> tuple[int, int]:
 @cli.command()
 @click.option("--sizes", required=True,
               help="Comma-separated topology sizes as NODES:M, e.g. 100:5,1000:5.")
-@click.option("--requests", type=int, default=200, show_default=True)
+@click.option("--requests", type=click.IntRange(min=1), default=200, show_default=True)
 @click.option("--ep2-sizes", default="1", show_default=True,
               help="Comma-separated remote endpoint set sizes.")
 @click.pass_obj

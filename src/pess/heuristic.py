@@ -21,7 +21,8 @@ back.
 
 Every candidate is priced exactly (``price_path``), and they are scanned
 in ``(cost, len(path), path)`` order; the first that places, passes its
-checks and breaks no running chain wins.
+checks (``place_on_path``, on the placement its price was taken for) and
+breaks no running chain wins.
 
 Before the round grows a tree, the anchor's own path is the incumbent.
 ``detour_vias`` bounds every detour from below by two distances, from
@@ -86,7 +87,8 @@ class EmbedOutcome:
     An ``infeasible`` rejection names in ``violation`` what stopped the first
     candidate in scan order: its ``place_on_path`` code, or ``op-latency``
     when only the operational recheck failed it. When no path can place the
-    VSNFs at all, it is the first path's ``region`` or ``veto``.
+    VSNFs at all, it is the first path's ``price_path`` code, ``region`` or
+    ``veto``.
     """
 
     embedding: Embedding | None
@@ -312,7 +314,7 @@ def price_path(
     req: ServiceRequest,
     params: CostParams,
 ) -> tuple[Placement | None, str | None]:
-    """Cheap half of ``place_on_path``: where the VSNFs go and what it costs.
+    """Where the VSNFs go on a path and what the candidate costs.
 
     ``arcs[i]`` is the arc from ``path[i]`` to ``path[i + 1]``. Region-bound
     VSNFs go to the matching path end; everything else is co-located on the
@@ -583,16 +585,21 @@ def _meets_within(
     return False
 
 
-def check_placement(
+def place_on_path(
     state: NetworkState,
     path: tuple[NodeId, ...],
     placement: Placement,
     req: ServiceRequest,
     params: CostParams,
 ) -> tuple[EmbedOutcome | None, str | None]:
-    """Costly half of ``place_on_path``: build the embedding of a priced
-    placement and its chains' loads, and run the stateful, capacity and
-    latency checks; the outcome carries the loads for ``register``."""
+    """Embed every chain of ``req`` along one physical path, with the VSNFs
+    where ``price_path`` placed them.
+
+    Builds the embedding and its chains' loads and runs the stateful,
+    capacity and latency checks. Returns the unregistered outcome, with its
+    cost, chain latencies and the loads for ``register``, or ``(None,
+    violation_code)``.
+    """
     net = state.net
     hosts_by_chain, cost = placement
     ep1, ep2 = path[0], path[-1]
@@ -635,25 +642,6 @@ def check_placement(
     return EmbedOutcome(emb, cost, tuple(latencies), loads=loads), None
 
 
-def place_on_path(
-    state: NetworkState,
-    path: tuple[NodeId, ...],
-    req: ServiceRequest,
-    params: CostParams,
-) -> tuple[EmbedOutcome | None, str | None]:
-    """Embed every chain of ``req`` along one physical path.
-
-    Places the VSNFs and prices the candidate (``price_path``), then builds
-    and checks it (``check_placement``). Returns the unregistered outcome,
-    with its cost and chain latencies, or ``(None, violation_code)``.
-    """
-    arcs = [state.net.arc(a, b) for a, b in zip(path, path[1:])]
-    placement, code = price_path(state, path, arcs, req, params)
-    if placement is None:
-        return None, code
-    return check_placement(state, path, placement, req, params)
-
-
 def pess_embed(
     state: NetworkState,
     req: ServiceRequest,
@@ -691,9 +679,9 @@ def pess_embed(
     if not reached:
         return EmbedOutcome(None, reason=REASON_NO_ROUTE)
 
-    # Priced paths as (cost, len(path), path). Each path is built and checked
-    # at most once.
-    ranked: list[tuple[float, int, tuple[NodeId, ...]]] = []
+    # Priced paths as (cost, len(path), path, placement). Each path is built
+    # and checked at most once.
+    ranked: list[tuple[float, int, tuple[NodeId, ...], Placement]] = []
     checked: dict[tuple[NodeId, ...], tuple[EmbedOutcome | None, str | None]] = {}
     rechecked: dict[tuple[NodeId, ...], bool] = {}
     unplaced: str | None = None
@@ -704,11 +692,13 @@ def pess_embed(
         if placement is None:
             unplaced = unplaced or code
         else:
-            ranked.append((placement[1], len(path), path))
+            ranked.append((placement[1], len(path), path, placement))
 
-    def check(path: tuple[NodeId, ...]) -> tuple[EmbedOutcome | None, str | None]:
+    def check(
+        path: tuple[NodeId, ...], placement: Placement
+    ) -> tuple[EmbedOutcome | None, str | None]:
         if path not in checked:
-            checked[path] = place_on_path(state, path, req, params)
+            checked[path] = place_on_path(state, path, placement, req, params)
         return checked[path]
 
     def passes(path: tuple[NodeId, ...]) -> bool:
@@ -738,7 +728,7 @@ def pess_embed(
         incumbent = None
         ranked.sort()
         for entry in ranked:
-            if check(entry[2])[0] is not None:
+            if check(entry[2], entry[3])[0] is not None:
                 anchor, incumbent = entry[2][-1], entry
                 break
         if incumbent is not None:
@@ -762,8 +752,8 @@ def pess_embed(
 
     violation = None
     ranked.sort()
-    for _, _, path in ranked:
-        outcome, code = check(path)
+    for _, _, path, placement in ranked:
+        outcome, code = check(path, placement)
         if outcome is None:
             violation = violation or code
             continue

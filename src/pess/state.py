@@ -73,14 +73,6 @@ class ChainEmbedding:
     def entity_nodes(self) -> tuple[NodeId, ...]:
         return (self.src, *self.vsnf_nodes, self.dst)
 
-    def arcs(self, net: PhysicalNetwork) -> list[int]:
-        """Directed arc indices traversed, with multiplicity."""
-        out = []
-        for seg in self.segments:
-            for a, b in zip(seg, seg[1:]):
-                out.append(net.arc(a, b))
-        return out
-
     def to_dict(self) -> dict:
         return {
             "src": self.src,
@@ -149,40 +141,42 @@ def segment_queuing_terms(
     return tuple(terms)
 
 
-def chain_fixed_delay(cemb: ChainEmbedding, chain: Chain, net: PhysicalNetwork) -> float:
-    """Load-independent latency: external term, propagation, queuing."""
-    total = chain.pi_external
-    n_entities = len(cemb.vsnf_nodes) + 2
-    for idx, seg in enumerate(cemb.segments):
-        for a, b in zip(seg, seg[1:]):
-            total += net.arc_delay(net.arc(a, b))
-        for term in segment_queuing_terms(net, seg[0], seg[-1], idx, n_entities):
-            total += term
-    return total
-
-
 @dataclass(frozen=True)
 class ChainLoad:
     """What one embedded chain draws from the network, worked out once.
 
-    ``check_placement`` builds these for a candidate and checks them, and
-    ``NetworkState.register`` commits the same objects, so what is checked
-    is what is registered.
+    ``heuristic.place_on_path`` builds these for a candidate and checks them,
+    and ``NetworkState.register`` commits the same objects, so what is
+    checked is what is registered.
     """
 
     emb: ChainEmbedding
     chain: Chain
     arcs: tuple[int, ...]  # traversed arc indices, with multiplicity
-    fixed_delay: float  # chain_fixed_delay
+    fixed_delay: float  # load-independent: external term, propagation, queuing
     vsnfs: tuple[tuple[NodeId, float, int], ...]  # (host, cycles/packet, CPU demand)
 
     @classmethod
     def of(cls, cemb: ChainEmbedding, chain: Chain, net: PhysicalNetwork) -> "ChainLoad":
+        """The chain's load, its arcs and fixed delay taken in one walk over
+        the segments. The fixed delay adds the external term, then per
+        segment its arc delays in route order and its
+        ``segment_queuing_terms``."""
+        arcs = []
+        fixed_delay = chain.pi_external
+        n_entities = len(cemb.vsnf_nodes) + 2
+        for idx, seg in enumerate(cemb.segments):
+            for a, b in zip(seg, seg[1:]):
+                arc = net.arc(a, b)
+                arcs.append(arc)
+                fixed_delay += net.arc_delay(arc)
+            for term in segment_queuing_terms(net, seg[0], seg[-1], idx, n_entities):
+                fixed_delay += term
         vsnfs = tuple(
             (node, spec.gamma_u * chain.sigma, demand)
             for node, spec, demand in zip(cemb.vsnf_nodes, chain.vsnfs, chain.cpu_demands)
         )
-        return cls(cemb, chain, tuple(cemb.arcs(net)), chain_fixed_delay(cemb, chain, net), vsnfs)
+        return cls(cemb, chain, tuple(arcs), fixed_delay, vsnfs)
 
 
 def arc_demands(loads: tuple[ChainLoad, ...]) -> dict[int, int]:

@@ -112,12 +112,20 @@ class TestErrors:
              "error: load_erlang must be > 0 and finite"),
             (("scalability", "--sizes", "10:2", "--ep2-sizes", "20"),
              "error: ep2_size 20 too large for 10 nodes"),
+            # Counts that would measure nothing.
+            (("oracle-gap", "--nodes", "6", "--load", "5", "--compare", "-3"),
+             "error: Invalid value for '--compare': -3 is not in the range x>=1."),
+            (("scalability", "--sizes", "10:2", "--requests", "0"),
+             "error: Invalid value for '--requests': 0 is not in the range x>=1."),
         ],
     )
-    def test_usage_errors(self, capsys, argv, needle):
+    def test_usage_errors(self, capsys, tmp_path, monkeypatch, argv, needle):
+        monkeypatch.chdir(tmp_path)
         code, out, err = run(capsys, *argv)
         assert code == 1
         assert needle in err
+        assert err.count("error:") == 1
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_loads_list(self, capsys, request_file):
         code, _, err = run(

@@ -416,7 +416,7 @@ def test_option_latency_matches_chain_latency():
                 hosts = cemb.vsnf_nodes
                 if len(set(hosts)) < len(hosts):
                     shapes["shared-host"] += 1
-                arcs = cemb.arcs(state.net)
+                arcs = load.arcs
                 if any(arc ^ 1 in arcs for arc in arcs):
                     shapes["zigzag"] += 1
     assert shapes["zigzag"] > 50 and shapes["shared-host"] > 50

@@ -13,7 +13,6 @@ from pess.state import (
     CostParams,
     Embedding,
     NetworkState,
-    chain_fixed_delay,
     chain_latency,
     check_security,
     embedding_cost,
@@ -134,12 +133,12 @@ class TestFixedDelay:
         # 100 km of fiber, no VSNFs: queuing budgets never apply.
         net = path_net([10**10, 10**10], delay=5.0e-4, queuing=9.6e-4)
         cemb = ChainEmbedding(0, 1, (), ((0, 1),))
-        assert chain_fixed_delay(cemb, chain(), net) == 5.0e-4
+        assert ChainLoad.of(cemb, chain(), net).fixed_delay == 5.0e-4
 
     def test_vsnf_pays_queuing_on_both_sides(self):
         net = path_net([10**10] * 3, delay=1.0e-4, queuing=3.2e-4)
         cemb = ChainEmbedding(0, 2, (1,), ((0, 1), (1, 2)))
-        got = chain_fixed_delay(cemb, chain(vsnf()), net)
+        got = ChainLoad.of(cemb, chain(vsnf()), net).fixed_delay
         # arrival half before the VSNF, departure half after, plus two hops.
         assert got == pytest.approx(2 * 1.0e-4 + 3.2e-4, abs=1e-15)
 
@@ -148,14 +147,14 @@ class TestFixedDelay:
         # second segment's departure half does.
         net = path_net([10**10, 10**10], delay=0.0, queuing=3.2e-4)
         cemb = ChainEmbedding(0, 1, (0,), ((0,), (0, 1)))
-        got = chain_fixed_delay(cemb, chain(vsnf()), net)
+        got = ChainLoad.of(cemb, chain(vsnf()), net).fixed_delay
         assert got == 3.2e-4 / 2
         assert got == pytest.approx(1.6e-4)
 
     def test_two_colocated_vsnfs_charged_once_per_side(self):
         net = path_net([10**10] * 3, delay=0.0, queuing=4.0e-4)
         cemb = ChainEmbedding(0, 2, (1, 1), ((0, 1), (1,), (1, 2)))
-        got = chain_fixed_delay(cemb, chain(vsnf("a"), vsnf("b")), net)
+        got = ChainLoad.of(cemb, chain(vsnf("a"), vsnf("b")), net).fixed_delay
         # The zero-length middle segment is skipped; one arrival plus one
         # departure half equals a single full budget.
         assert got == 4.0e-4
@@ -163,13 +162,13 @@ class TestFixedDelay:
     def test_external_term(self):
         net = path_net([10**10, 10**10], delay=2.0e-4)
         cemb = ChainEmbedding(0, 1, (), ((0, 1),))
-        got = chain_fixed_delay(cemb, chain(pi=0.005), net)
+        got = ChainLoad.of(cemb, chain(pi=0.005), net).fixed_delay
         assert got == pytest.approx(0.005 + 2.0e-4)
 
     def test_degenerate_route(self):
         net = path_net([10**10, 10**10])
         cemb = ChainEmbedding(0, 0, (), ((0,),))
-        assert chain_fixed_delay(cemb, chain(pi=0.001), net) == 0.001
+        assert ChainLoad.of(cemb, chain(pi=0.001), net).fixed_delay == 0.001
 
 
 class TestGammaThreshold:
@@ -177,20 +176,20 @@ class TestGammaThreshold:
         net = path_net([10**10, 10**10], delay=2.5e-4, queuing=0.0)
         cemb = ChainEmbedding(0, 1, (1,), ((0, 1), (1,)))
         c = chain(vsnf(gamma=9.5), lam=5.0e-4 + 2.5e-4)
-        got = gamma_threshold(c, chain_fixed_delay(cemb, c, net), 1e-6)
+        got = gamma_threshold(c, ChainLoad.of(cemb, c, net).fixed_delay, 1e-6)
         assert got == pytest.approx(9.5 * 8000.0 / 5.0e-4 - 1e-6, rel=1e-12)
 
     def test_no_vsnfs(self):
         net = path_net([10**10, 10**10], delay=1e-4)
         cemb = ChainEmbedding(0, 1, (), ((0, 1),))
         c = chain(lam=0.2)
-        assert gamma_threshold(c, chain_fixed_delay(cemb, c, net), 1e-6) == -1e-6
+        assert gamma_threshold(c, ChainLoad.of(cemb, c, net).fixed_delay, 1e-6) == -1e-6
 
     def test_exhausted_budget(self):
         net = path_net([10**10, 10**10], delay=0.3)
         cemb = ChainEmbedding(0, 1, (1,), ((0, 1), (1,)))
         c = chain(vsnf(), lam=0.2)
-        got = gamma_threshold(c, chain_fixed_delay(cemb, c, net), 1e-6)
+        got = gamma_threshold(c, ChainLoad.of(cemb, c, net).fixed_delay, 1e-6)
         assert got == math.inf
 
 
