@@ -24,6 +24,7 @@ from .service import ServiceError, request_from_doc
 from .simulator import (
     Metrics,
     WorkloadConfig,
+    compare_count,
     run_heuristic_vs_oracle,
     run_scalability,
     run_simulation,
@@ -323,6 +324,7 @@ def oracle_gap(obj: dict, load: float, requests: int, warmup: int, compare_n: in
     cfg = _checked(WorkloadConfig, load_erlang=load, n_requests=requests, warmup=warmup)
     oracle_cfg = _checked(OracleConfig, max_path_len=max_path_len,
                           max_enumeration=max_enumeration)
+    _checked(compare_count, cfg=cfg, compare=compare_n)
     report = run_heuristic_vs_oracle(
         net, cfg, oracle_cfg, obj["seed"], obj["params"], compare=compare_n
     )

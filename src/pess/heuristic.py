@@ -5,19 +5,16 @@ endpoint until the candidate remote endpoints are settled; their tree paths
 are the initial candidates. The tree is goal-directed (``_Tree.reach``): a
 backward search from the remote endpoints bounds each node's distance to
 one from below, and a node whose distance plus bound exceeds the dearest
-endpoint's best known path, raised by ``BOUND_SLACK``, is deferred
+endpoint's best known path, raised by ``BOUND_SLACK``, is dropped
 unsettled, since no cheapest path to an endpoint runs through it. Every
-settled node still holds a full search's distance and parent: deferral is
-decided when a node is popped, against the bounds of that moment, and when
-deferred nodes are settled later, a node takes a parent tied on distance
-that a full search would have settled first.
+settled node still holds a full search's distance and parent.
 
 A detour round follows when some node beyond those paths has residual CPU
-that strictly beats everything they touch: the user-side tree is grown on
-toward those nodes, and one tree is grown from the detour anchor (the remote
-end of the best feasible initial path) toward them. Each such node ``via``
-gives one detour: the user tree's path to it, then the anchor tree's path
-back.
+that strictly beats everything they touch: it grows two fresh trees toward
+those nodes, one from ``ep1`` and one from the detour anchor (the remote
+end of the best feasible initial path). Each such node ``via`` gives one
+detour: the first tree's path to it, then the anchor tree's path back.
+Every tree is searched once.
 
 Every candidate is priced exactly (``price_path``), and they are scanned
 in ``(cost, len(path), path)`` order; the first that places, passes its
@@ -45,7 +42,7 @@ each operation off by at most a relative 2**-53, so on an ``n``-node network
 no sum is off by more than about a relative ``n * 2**-52`` (2e-13 at n =
 1000). ``BOUND_SLACK`` is far above that: a detour's lower bound is lowered
 by it and the tree's limit raised by it, so rounding can neither rule out a
-detour nor defer a node that is needed.
+detour nor drop a node that is needed.
 """
 
 from __future__ import annotations
@@ -105,20 +102,13 @@ class EmbedOutcome:
 
 
 class _Tree:
-    """Cheapest-residual-bandwidth search tree from ``source``, grown on demand.
+    """Cheapest-residual-bandwidth search tree from ``source``, searched once
+    by ``grow`` or ``reach``.
 
     Arcs whose residual cannot carry the request's total bandwidth are never
-    relaxed. Every settled node holds the distance and parent a full search
-    gives it, whichever of ``reach`` and ``grow`` settled it, so growing the
-    tree toward more targets reads the same values a fresh search would.
-
-    ``reach`` grows the tree toward its first targets and leaves off nodes
-    that its bounds show lie on no cheapest path to one; their entries wait in
-    ``deferred`` until ``grow`` puts them back. A deferred node then settles
-    after heavier ones, so ``grow`` also moves a node to a parent tied on
-    distance when the parent sorts first in ``(dist, node)``, the order in
-    which a full search settles them and so keeps the first. A search that
-    never deferred settles in that order anyway and never moves a parent.
+    relaxed. Nodes settle in ``(dist, node)`` order, and a node keeps the
+    first parent that gives it its distance, so every settled node holds the
+    distance and parent of a full search, whichever of the two settled it.
     """
 
     def __init__(
@@ -134,24 +124,23 @@ class _Tree:
         self.source = source
         self.beta_bar = beta_bar
         self.delta = delta
-        self.dist = [math.inf] * net.n_nodes
-        self.parent = [-1] * net.n_nodes
-        self.parent_arc = [-1] * net.n_nodes
-        self.done = [False] * net.n_nodes
-        self.dist[source] = 0.0
-        self.heap: list[tuple[float, NodeId]] = [(0.0, source)]
-        self.deferred: list[tuple[float, NodeId]] = []
+        self._start()
+
+    def _start(self) -> None:
+        """Forget any search so far: only the source is labelled."""
+        n = self.net.n_nodes
+        self.dist = [math.inf] * n
+        self.parent = [-1] * n
+        self.parent_arc = [-1] * n
+        self.done = [False] * n
+        self.dist[self.source] = 0.0
+        self.heap: list[tuple[float, NodeId]] = [(0.0, self.source)]
 
     def grow(self, targets) -> None:
-        """Settle nodes until every target is settled or none is left
-        reachable, first putting back the entries ``reach`` deferred."""
+        """Settle nodes until every target is settled or none is left reachable."""
         dist, parent, parent_arc, done = self.dist, self.parent, self.parent_arc, self.done
         residual_beta, beta_bar, delta = self.residual_beta, self.beta_bar, self.delta
         adjacency, heap = self.net.adjacency, self.heap
-        if self.deferred:
-            heap += self.deferred
-            heapq.heapify(heap)
-            self.deferred = []
         remaining = {t for t in targets if not done[t]}
         while remaining and heap:
             d, here = heapq.heappop(heap)
@@ -166,15 +155,11 @@ class _Tree:
                 if residual < beta_bar:
                     continue
                 candidate = d + beta_bar / (residual + delta)
-                known = dist[neighbor]
-                if candidate < known or (
-                    candidate == known and (d, here) < (dist[parent[neighbor]], parent[neighbor])
-                ):
+                if candidate < dist[neighbor]:
                     dist[neighbor] = candidate
                     parent[neighbor] = here
                     parent_arc[neighbor] = arc
-                    if candidate < known:
-                        heapq.heappush(heap, (candidate, neighbor))
+                    heapq.heappush(heap, (candidate, neighbor))
 
     def reach(self, targets) -> None:
         """Settle every target reachable from the source, as ``grow`` does,
@@ -188,8 +173,8 @@ class _Tree:
         limit is the dearest target's cheapest known path (infinite until
         every target has one). A forward pop ``(d, v)`` settles when ``d +
         bound(v)`` is at most the limit raised once by ``BOUND_SLACK``, and
-        goes to ``deferred`` unsettled when it exceeds the limit raised twice.
-        A push that the pop would defer is deferred at once.
+        is dropped unsettled when it exceeds the limit raised twice. A push
+        that the pop would drop is never made.
 
         Why every settled node is final. The bounds are consistent
         (``bound(u) <= w(u, v) + bound(v)`` on every arc searched), they only
@@ -197,17 +182,17 @@ class _Tree:
         never falls by more than rounding: a relative ``n * 2**-52`` at most
         on an ``n``-node network, far below ``BOUND_SLACK``. A node on the
         cheapest path to a settled node, or one of its tied parents, was
-        therefore never deferred, and the settled node took its final
+        therefore never dropped, and the settled node took its final
         distance and parent. A target's value is its distance, at most the
         limit up to rounding, so every reachable target settles. A pop
         between the two raised limits is the one case where rounding could
         blur this; it never lies on a cheapest path to a target, so it is
-        rare chance, and then its entry goes back and ``grow``, which defers
-        nothing, does the rest.
+        rare chance, and then the search starts afresh and ``grow``, which
+        drops nothing, searches in full.
         """
         dist, parent, parent_arc, done = self.dist, self.parent, self.parent_arc, self.done
         residual_beta, beta_bar, delta = self.residual_beta, self.beta_bar, self.delta
-        adjacency, heap, deferred = self.net.adjacency, self.heap, self.deferred
+        adjacency, heap = self.net.adjacency, self.heap
         heappop, heappush, inf = heapq.heappop, heapq.heappush, math.inf
         n = self.net.n_nodes
         # Backward distance to the nearest target, the target it leads to,
@@ -220,7 +205,7 @@ class _Tree:
             root[target] = target
             upper[target] = dist[target]
         back_heap = [(0.0, target) for target in upper]
-        # A pop settles at value ``limit`` or below and is deferred above
+        # A pop settles at value ``limit`` or below and is dropped above
         # ``hopeless``: the dearest target's path raised once and twice.
         raised = 1.0 + BOUND_SLACK
         limit = max(upper.values()) * raised
@@ -262,10 +247,9 @@ class _Tree:
                 bound = frontier
             if d + bound > limit:
                 if d + bound > hopeless:
-                    deferred.append((d, here))
                     continue
-                heappush(heap, (d, here))
-                self.grow(remaining)
+                self._start()
+                self.grow(upper)
                 return
             done[here] = True
             remaining.discard(here)
@@ -289,10 +273,7 @@ class _Tree:
                             hopeless = limit * raised
                     if bound > frontier:
                         bound = frontier
-                    # An entry the pop would defer is deferred now.
-                    if candidate + bound > hopeless:
-                        deferred.append((candidate, neighbor))
-                    else:
+                    if candidate + bound <= hopeless:
                         heappush(heap, (candidate, neighbor))
 
     def path_to(self, target: NodeId) -> tuple[tuple[NodeId, ...], list[int]]:
@@ -384,7 +365,6 @@ def detour_vias(
     state: NetworkState,
     req: ServiceRequest,
     params: CostParams,
-    user: _Tree,
     anchor: NodeId,
     expansion: set[NodeId],
     limit: float,
@@ -392,18 +372,17 @@ def detour_vias(
     """The nodes of ``expansion``, sorted, through which a detour may cost at
     most ``limit``; a detour through any other costs more.
 
-    The detour through ``via`` is ``user``'s tree path to it, then the anchor
-    tree's path back. Both trees use only arcs that carry ``beta_bar``, the
-    request's total bandwidth, away from their root. An up chain's route runs
-    from the first path node to the last whatever hosts its VSNFs, so it
+    The detour through ``via`` is a tree path from ``ep1`` to it, then the
+    anchor tree's path back. Both trees use only arcs that carry ``beta_bar``,
+    the request's total bandwidth, away from their root. An up chain's route
+    runs from the first path node to the last whatever hosts its VSNFs, so it
     crosses each arc of a detour forward at least once, and a down chain
-    backward. An arc ``a`` that the user tree walks so costs at least ``up /
-    (r(a) + delta) + down / (r(a ^ 1) + delta)``, with ``r`` the residual
-    bandwidth and ``up`` and ``down`` the two directions' total bandwidth. An
-    arc the anchor tree walks is crossed the other way round, so its weight
-    swaps ``up`` and ``down``. The head then costs at least the weighted
-    distance from ``ep1``, and exactly the weights summed along ``user``'s
-    path once it has settled ``via``; the tail costs at least the weighted
+    backward. An arc ``a`` that the tree from ``ep1`` walks so costs at least
+    ``up / (r(a) + delta) + down / (r(a ^ 1) + delta)``, with ``r`` the
+    residual bandwidth and ``up`` and ``down`` the two directions' total
+    bandwidth. An arc the anchor tree walks is crossed the other way round, so
+    its weight swaps ``up`` and ``down``. The head then costs at least the
+    weighted distance from ``ep1``, and the tail at least the weighted
     distance from the anchor. Every VSNF sits on a node with at most the
     largest residual CPU, so the CPU terms add at least ``alpha`` times the
     request's CPU demand over that plus ``delta``, pinned VSNFs included. A
@@ -434,28 +413,11 @@ def detour_vias(
         return []
 
     # Per side (0: from ep1, 1: from the anchor), each pending via's part
-    # once known. The heads of the vias the user tree has settled are known
-    # from the start.
+    # once known.
     pending = set(expansion)
     known0: dict[NodeId, float] = {}
     known1: dict[NodeId, float] = {}
     kept: list[NodeId] = []
-    head = {req.ep1: 0.0}
-    parent, parent_arc = user.parent, user.parent_arc
-    for via in expansion:
-        if user.done[via]:
-            walk = []
-            node = via
-            while node not in head:
-                walk.append(node)
-                node = parent[node]
-            cost = head[node]
-            for node in reversed(walk):
-                arc = parent_arc[node]
-                cost += up_beta / (residual_beta[arc] + delta)
-                cost += down_beta / (residual_beta[arc ^ 1] + delta)
-                head[node] = cost
-            known0[via] = cost
 
     n = state.net.n_nodes
     dist0, dist1 = [math.inf] * n, [math.inf] * n
@@ -657,8 +619,8 @@ def pess_embed(
 
     The initial paths come from the user tree grown by ``_Tree.reach``,
     which settles only nodes that may lie on a cheapest path to a remote
-    endpoint; the detour round grows the same tree on, and every node it
-    reads holds a full search's distance and parent.
+    endpoint, each with a full search's distance and parent. The detour
+    round grows two trees of its own, from ``ep1`` and from the anchor.
 
     The detour round skips every via through which ``detour_vias`` proves
     each detour dearer than the incumbent, the cheapest initial path that
@@ -735,17 +697,18 @@ def pess_embed(
             # A detour dearer than the anchor's path can only matter if that
             # path fails when the scan reaches it, that is, if it breaks a
             # running chain; otherwise the round can leave such vias out.
-            vias = detour_vias(state, req, params, user, anchor, expansion, incumbent[0])
+            vias = detour_vias(state, req, params, anchor, expansion, incumbent[0])
             if len(vias) < len(expansion) and passes(incumbent[2]):
                 expansion = vias
         if expansion:
-            user.grow(expansion)
-            remote = _Tree(net, state.residual_beta, anchor, beta_bar, params.delta)
-            remote.grow(expansion)
+            head_tree = _Tree(net, state.residual_beta, req.ep1, beta_bar, params.delta)
+            head_tree.grow(expansion)
+            tail_tree = _Tree(net, state.residual_beta, anchor, beta_bar, params.delta)
+            tail_tree.grow(expansion)
             for via in sorted(expansion):
-                if user.done[via] and remote.done[via]:
-                    head, head_arcs = user.path_to(via)
-                    tail, tail_arcs = remote.path_to(via)
+                if head_tree.done[via] and tail_tree.done[via]:
+                    head, head_arcs = head_tree.path_to(via)
+                    tail, tail_arcs = tail_tree.path_to(via)
                     joined = head + tail[-2::-1]
                     if len(set(joined)) == len(joined):
                         rank(joined, head_arcs + [arc ^ 1 for arc in reversed(tail_arcs)])

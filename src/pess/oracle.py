@@ -311,9 +311,9 @@ class _Search:
         residual_beta = self.state.residual_beta
         chosen: list[_PathInfo] = []
 
-        # The latency is summed on the way down: chain_fixed_delay's terms
-        # (external, then per routed segment its arc delays one by one and
-        # its segment_queuing_terms), then chain_latency's processing terms
+        # The latency is summed on the way down: ChainLoad.of's fixed-delay
+        # terms (external, then per routed segment its arc delays one by one
+        # and its segment_queuing_terms), then chain_latency's processing terms
         # in VSNF order. The same additions in the same order give
         # chain_latency's value bit for bit;
         # test_option_latency_matches_chain_latency pins it.

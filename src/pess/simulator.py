@@ -303,6 +303,19 @@ class GapReport:
     oracle_ms_mean: float | None
 
 
+def compare_count(cfg: WorkloadConfig, compare: int | None) -> int:
+    """How many post-warmup requests ``run_heuristic_vs_oracle`` prices:
+    ``compare``, or all of them when it is ``None``. A count outside ``[1,
+    n_requests - warmup]`` would report fewer than it names, so it raises
+    ``ValueError``."""
+    available = cfg.n_requests - cfg.warmup
+    if compare is None:
+        return available
+    if not 1 <= compare <= available:
+        raise ValueError(f"compare must be in [1, n_requests - warmup = {available}]")
+    return compare
+
+
 def run_heuristic_vs_oracle(
     net: PhysicalNetwork,
     cfg: WorkloadConfig,
@@ -317,11 +330,11 @@ def run_heuristic_vs_oracle(
     After the warmup arrivals every compared request is solved twice on the
     identical live state: by the online heuristic (which keeps evolving the
     network) and by the exhaustive oracle (read-only). Overheads are
-    (heuristic - oracle) / oracle on requests both solved.
+    (heuristic - oracle) / oracle on requests both solved. ``compare`` is
+    checked and defaulted by ``compare_count``.
     """
+    compare = compare_count(cfg, compare)
     stream = generate_stream(net, cfg, seed)
-    if compare is None:
-        compare = cfg.n_requests - cfg.warmup
     state = NetworkState.fresh(net)
     compared = both = h_blocked = o_blocked = exceeded = 0
     overheads: list[float] = []
@@ -401,7 +414,10 @@ def run_scalability(
 
     Requests are embedded back to back (accepted ones stay resident) on a
     fresh random network per point, and per-request wall times are reported.
+    ``per_size_requests`` below 1 raises ``ValueError``.
     """
+    if per_size_requests < 1:
+        raise ValueError("per_size_requests must be >= 1")
     for n_nodes, _ in sizes:
         for ep2_size in ep2_sizes:
             if ep2_size >= n_nodes:

@@ -117,6 +117,9 @@ class TestErrors:
              "error: Invalid value for '--compare': -3 is not in the range x>=1."),
             (("scalability", "--sizes", "10:2", "--requests", "0"),
              "error: Invalid value for '--requests': 0 is not in the range x>=1."),
+            (("oracle-gap", "--nodes", "6", "--load", "5", "--requests", "30", "--warmup", "20",
+              "--compare", "1000", "--max-path-len", "2"),
+             "error: compare must be in [1, n_requests - warmup = 10]"),
         ],
     )
     def test_usage_errors(self, capsys, tmp_path, monkeypatch, argv, needle):

@@ -247,37 +247,14 @@ class TestPricePath:
 
 
 class TestTree:
-    @settings(max_examples=150, deadline=None)
-    @given(st.data())
-    def test_grown_tree_reads_like_a_fresh_one(self, data):
-        # The detour round grows the user-side tree on toward the expansion
-        # set instead of searching afresh; every settled value must agree.
-        draw = data.draw
-        n = draw(st.integers(3, 30))
-        net = generate_barabasi_albert(n, 2, seed=draw(st.integers(0, 99)))
-        residual_beta = [draw(st.sampled_from([10**10, 10**9, 3 * 10**8, 10**3]))
-                         for _ in range(net.n_arcs)]
-        source = draw(st.integers(0, n - 1))
-        first = draw(st.sets(st.integers(0, n - 1), min_size=1))
-        then = draw(st.sets(st.integers(0, n - 1), min_size=1))
-        grown = _Tree(net, residual_beta, source, 10**6, 1e-6)
-        grown.grow(first)
-        grown.grow(then)
-        fresh = _Tree(net, residual_beta, source, 10**6, 1e-6)
-        fresh.grow(then)
-        for target in then:
-            assert grown.dist[target] == fresh.dist[target]
-            if fresh.dist[target] != float("inf"):
-                assert grown.path_to(target) == fresh.path_to(target)
-
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_reached_tree_reads_like_a_full_one(self, data):
-        # reach leaves off nodes on no cheapest path to a target, and grow
-        # later settles them; residuals from a few values make distances tie
-        # (so parents tie), and arcs below beta_bar make some targets
-        # unreachable. A large slack puts pops between the two raised limits,
-        # where reach hands the rest of its growth to grow.
+        # reach leaves off nodes on no cheapest path to a target; residuals
+        # from a few values make distances tie (so parents tie), and arcs
+        # below beta_bar make some targets unreachable. A large slack puts
+        # pops between the two raised limits, where reach starts afresh
+        # with a full search.
         draw = data.draw
         n = draw(st.integers(3, 30))
         net = generate_barabasi_albert(n, 2, seed=draw(st.integers(0, 99)))
@@ -285,31 +262,44 @@ class TestTree:
                          for _ in range(net.n_arcs)]
         source = draw(st.integers(0, n - 1))
         targets = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=3))
-        then = draw(st.sets(st.integers(0, n - 1), min_size=1))
         slack = draw(st.sampled_from([heuristic.BOUND_SLACK, 0.25]))
         full = _Tree(net, residual_beta, source, 10**6, 1e-6)
         full.grow(range(n))
         tree = _Tree(net, residual_beta, source, 10**6, 1e-6)
-        handed_over = []
+        restarted = []
         grow = tree.grow
-        tree.grow = lambda targets: handed_over.append(1) or grow(targets)
-
-        def agrees(wanted):
-            for node in range(n):
-                if tree.done[node]:
-                    assert tree.dist[node] == full.dist[node]
-                    assert tree.path_to(node) == full.path_to(node)
-            for target in wanted:
-                assert tree.done[target] == full.done[target]
-
+        tree.grow = lambda targets: restarted.append(1) or grow(targets)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(heuristic, "BOUND_SLACK", slack)
             tree.reach(targets)
-        event(f"reach: {'handed over' if handed_over else 'deferred' if tree.deferred else 'full'}")
+        event(f"reach: {'restarted' if restarted else 'one pass'}")
         event(f"targets reachable: {sum(full.done[t] for t in targets)} of {len(targets)}")
-        agrees(targets)
-        tree.grow(then)
-        agrees(then)
+        for node in range(n):
+            if tree.done[node]:
+                assert tree.dist[node] == full.dist[node]
+                assert tree.path_to(node) == full.path_to(node)
+        for target in targets:
+            assert tree.done[target] == full.done[target]
+
+    def test_pop_between_the_raised_limits_restarts_in_full(self, monkeypatch):
+        # Source 0, target 1 at 1.0, and a dead end 2 at 0.4. Under a slack of
+        # 0.25 the target's path sets the limits at 1.25 and 1.5625. Once the
+        # backward search has settled the target, its frontier is 1.0, so the
+        # pop of node 2 reads 1.4: between the limits. reach then throws its
+        # search away and grows a fresh tree, which settles node 2 as well.
+        net = build_net([10**10] * 3, [(0, 1, {"bandwidth": 1000}), (0, 2, {"bandwidth": 2500})])
+        residual_beta = NetworkState.fresh(net).residual_beta
+        monkeypatch.setattr(heuristic, "BOUND_SLACK", 0.25)
+        tree = _Tree(net, residual_beta, 0, 1000, 1e-6)
+        grown = []
+        grow = tree.grow
+        tree.grow = lambda targets: grown.append(sorted(targets)) or grow(targets)
+        tree.reach({1})
+        full = _Tree(net, residual_beta, 0, 1000, 1e-6)
+        full.grow({1})
+        assert grown == [[1]]
+        assert tree.done == full.done == [True, True, True]
+        assert (tree.dist, tree.parent, tree.parent_arc) == (full.dist, full.parent, full.parent_arc)
 
 
 @st.composite
@@ -385,19 +375,20 @@ def _incumbent(state, req, params):
 
 def _record_rounds(monkeypatch):
     """Make pess_embed record, per detour round, the vias it grows the
-    anchor's tree toward: the targets of each tree grown without ``reach``,
-    which only the user tree runs."""
+    anchor's tree toward: the targets of each tree grown from a root other
+    than ``ep1``, the root of the user tree that ``reach`` searches. (A round
+    anchored at ``ep1`` itself goes unrecorded; it prices no detour.)"""
     rounds = []
 
     class RecordingTree(_Tree):
-        user_side = False
+        ep1 = None
 
         def reach(self, targets):
-            self.user_side = True
+            RecordingTree.ep1 = self.source
             super().reach(targets)
 
         def grow(self, targets):
-            if not self.user_side:
+            if self.source != RecordingTree.ep1:
                 rounds.append(sorted(targets))
             super().grow(targets)
 
@@ -434,8 +425,6 @@ class TestDetourVias:
         # detour through a dropped via is priced: each costs strictly more
         # than the limit, so it sorts after the incumbent in (cost, len,
         # path) order whatever its length, and an equal cost would fail.
-        # The user tree is the one pess_embed hands the proof: grown by
-        # reach, so the proof reads exact heads only where it settled.
         state, req, params = instance
         calls = []
 
@@ -473,7 +462,7 @@ class TestDetourVias:
             decided = {}
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(heuristic, "_meets_within", _recording_own_search(decided))
-                kept = detour_vias(state, req, params, user, anchor, expansion, limit)
+                kept = detour_vias(state, req, params, anchor, expansion, limit)
             assert set(kept) <= expansion and kept == sorted(kept)
             dropped = expansion - set(kept)
             event(f"proof dropped {'every' if not kept else 'some' if dropped else 'no'} via")
@@ -488,20 +477,13 @@ class TestDetourVias:
             from_ep1 = _directional_distances(state, req.ep1, up_beta, down_beta, params.delta)
             from_anchor = _directional_distances(state, anchor, down_beta, up_beta, params.delta)
             for via in expansion:
-                # A via the user tree settled has an exact head: the weights
-                # summed along its tree path.
-                head = from_ep1[via]
-                if user.done[via]:
-                    head = sum(up_beta / (state.residual_beta[arc] + params.delta)
-                               + down_beta / (state.residual_beta[arc ^ 1] + params.delta)
-                               for arc in user.path_to(via)[1])
                 # Sound: every dropped via's bound exceeds the budget. Exact:
                 # every kept via's bound fits it, so the proof keeps no more
                 # than it must.
                 if via in dropped:
-                    assert head + from_anchor[via] > budget - 1e-12 * limit
+                    assert from_ep1[via] + from_anchor[via] > budget - 1e-12 * limit
                 else:
-                    assert head + from_anchor[via] <= budget + 1e-12 * limit
+                    assert from_ep1[via] + from_anchor[via] <= budget + 1e-12 * limit
             remote = _Tree(state.net, state.residual_beta, anchor, beta_bar, params.delta)
             remote.grow(nodes)
             for via in sorted(dropped):
@@ -528,11 +510,9 @@ class TestDetourVias:
         state = NetworkState.fresh(net)
         req = request(0, [1], chain(beta=1000))
         params = CostParams(alpha=0.0)
-        user = _Tree(net, state.residual_beta, 0, 1000, params.delta)
-        user.reach(req.ep2_set)
         decided = {}
         monkeypatch.setattr(heuristic, "_meets_within", _recording_own_search(decided))
-        return detour_vias(state, req, params, user, 1, {2}, 1.0), decided.get(2)
+        return detour_vias(state, req, params, 1, {2}, 1.0), decided.get(2)
 
     def test_own_search_drops_a_via_the_frontier_cannot(self, monkeypatch):
         # The line 2-0-1-3-4: via 2 is one cheap hop from ep1, and its only
@@ -1023,7 +1003,7 @@ def test_detours_priced_only_when_reached(monkeypatch):
     def counting_detour_vias(*args):
         nonlocal dropped
         kept = detour_vias(*args)
-        dropped += len(args[5]) - len(kept)
+        dropped += len(args[4]) - len(kept)
         return kept
 
     monkeypatch.setattr(heuristic, "price_path", counting_price_path)
@@ -1053,11 +1033,11 @@ def test_proof_changes_no_outcome(monkeypatch):
     def counting(workload):
         def counting_detour_vias(*args):
             kept = detour_vias(*args)
-            dropped[workload] = dropped.get(workload, 0) + len(args[5]) - len(kept)
+            dropped[workload] = dropped.get(workload, 0) + len(args[4]) - len(kept)
             return kept
         return counting_detour_vias
 
-    def keep_every_via(state, req, params, user, anchor, expansion, limit):
+    def keep_every_via(state, req, params, anchor, expansion, limit):
         return sorted(expansion)
 
     ba1000 = generate_barabasi_albert(1000, 2, seed=0)

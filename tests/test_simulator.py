@@ -10,6 +10,7 @@ from pess.simulator import (
     GapReport,
     WorkloadConfig,
     _WindowedStats,
+    compare_count,
     generate_stream,
     replay,
     run_heuristic_vs_oracle,
@@ -194,6 +195,19 @@ class TestGap:
         assert report.heuristic_ms_mean > 0.0
         assert report.oracle_ms_mean > 0.0
 
+    def test_compare_count_bounds_are_inclusive(self):
+        cfg = WorkloadConfig(load_erlang=20, n_requests=30, warmup=20)
+        assert compare_count(cfg, None) == compare_count(cfg, 10) == 10
+        assert compare_count(cfg, 1) == 1
+
+    @pytest.mark.parametrize("compare", [-3, 0, 11, 1000])
+    def test_refuses_counts_that_measure_nothing(self, compare):
+        # Fewer than one, or more than the 10 post-warmup requests.
+        net = generate_barabasi_albert(7, 2, seed=2)
+        cfg = WorkloadConfig(load_erlang=20, n_requests=30, warmup=20)
+        with pytest.raises(ValueError, match=r"compare must be in \[1, n_requests - warmup = 10\]"):
+            run_heuristic_vs_oracle(net, cfg, seed=3, compare=compare)
+
 
 class TestScalability:
     def test_rows_and_determinism(self):
@@ -211,3 +225,8 @@ class TestScalability:
     def test_ep2_size_bound(self):
         with pytest.raises(ValueError, match="too large"):
             run_scalability([(10, 2)], 5, ep2_sizes=[10])
+
+    @pytest.mark.parametrize("requests", [0, -1])
+    def test_refuses_no_requests(self, requests):
+        with pytest.raises(ValueError, match="per_size_requests must be >= 1"):
+            run_scalability([(10, 2)], requests)
